@@ -53,31 +53,34 @@ def test_max_ticks_stop_leaves_quiesced_false():
     assert world.machines[0].outcome is None
 
 
+# Chain "a" seals every second tick, so block indices lag the tick.
+SKEWED = {
+    "name": "skewed",
+    "chains": [
+        {"id": "a", "seal_every": 2, "contracts": [
+            {"local": "tok", "kind": "token", "owner": "o",
+             "init": {"x": 9, "y": 0}}]},
+        {"id": "b", "contracts": [
+            {"local": "tok", "kind": "token", "owner": "o",
+             "init": {"x": 9, "y": 0}}]},
+    ],
+    "bridges": [
+        {"src": "a", "dst": "b", "max_delay": 2},
+        {"src": "b", "dst": "a", "max_delay": 2},
+    ],
+    "transactions": [
+        {"txid": "t", "proposer": "a", "actions": [
+            {"chain": "a", "target": "tok", "method": "transfer",
+             "params": ["x", "y", 1]},
+            {"chain": "b", "target": "tok", "method": "transfer",
+             "params": ["x", "y", 1]},
+        ]},
+    ],
+}
+
+
 def test_seal_skew_still_commits():
-    raw = {
-        "name": "skewed",
-        "chains": [
-            {"id": "a", "seal_every": 2, "contracts": [
-                {"local": "tok", "kind": "token", "owner": "o",
-                 "init": {"x": 9, "y": 0}}]},
-            {"id": "b", "contracts": [
-                {"local": "tok", "kind": "token", "owner": "o",
-                 "init": {"x": 9, "y": 0}}]},
-        ],
-        "bridges": [
-            {"src": "a", "dst": "b", "max_delay": 2},
-            {"src": "b", "dst": "a", "max_delay": 2},
-        ],
-        "transactions": [
-            {"txid": "t", "proposer": "a", "actions": [
-                {"chain": "a", "target": "tok", "method": "transfer",
-                 "params": ["x", "y", 1]},
-                {"chain": "b", "target": "tok", "method": "transfer",
-                 "params": ["x", "y", 1]},
-            ]},
-        ],
-    }
-    scenario = parse_scenario(raw)
+    scenario = parse_scenario(SKEWED)
     world = build_world(scenario, seed=3)
     world.run(scenario.stop)
     assert world.quiesced
