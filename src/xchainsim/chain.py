@@ -1,11 +1,13 @@
-"""Per-blockchain state machine: contracts, the lock discipline, and the
-block ledger.
+"""Per-blockchain state machine: contracts, the lock discipline, and
+block numbering.
 
 A chain holds named contracts.  Each contract carries plain variables
 (int | bool | bytes values), lock metadata, and a method table of host
 functions.  Method invocations are recorded in a pending list which a
 seal step freezes into numbered immutable blocks; the block index is what
-bridge messages later cite as their origin.
+bridge messages later cite as their origin.  The chain keeps only its
+height: sealed blocks are handed to the engine, not stored, and the
+engine counts an empty block without building it.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ class Chain:
         self.trace = trace
         self.seal_every = max(1, seal_every)
         self.contracts: dict[Address, Contract] = {}
-        self.ledger: list[Block] = []
+        self.height = 0  # blocks sealed so far, empty ones included
         self.pending: list = []
         self.executor_addr: Optional[Address] = None
         self.clock = 0  # current tick, maintained by the engine
@@ -239,8 +241,8 @@ class Chain:
         return outcome
 
     def seal_block(self) -> Block:
-        block = Block(len(self.ledger), tuple(self.pending))
-        self.ledger.append(block)
+        block = Block(self.height, tuple(self.pending))
+        self.height += 1
         self.pending.clear()
         if block.records:
             self.trace.append(TraceEvent(self.clock, SEAL, self.id, {

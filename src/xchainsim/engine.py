@@ -3,8 +3,13 @@
 Each tick runs four phases in a fixed order: adversary injections fire,
 due bridge messages deliver, protocol machines step on the futures those
 deliveries resolved (and newly scheduled transactions are proposed), and
-finally every chain seals one block, at which point freshly recorded
-bridge sends become in-flight messages with seeded delivery delays.
+finally every chain due to seal closes one block, at which point freshly
+recorded bridge sends become in-flight messages with seeded delivery
+delays.
+
+A tick costs what happens in it: delivery visits only the bridges that
+hold messages, and a chain with nothing pending counts its empty block
+instead of building it.
 
 All nondeterminism (delays, reorder permutations) draws from one seeded
 generator, so a (scenario, seed) pair fully determines the trace.
@@ -62,6 +67,9 @@ class World:
                            lock_order=lock_order)
         self.chains: dict[str, Chain] = {}
         self.bridges: dict[BridgeId, Bridge] = {}
+        # Every bridge with queued messages, and possibly some whose queue
+        # a drop emptied; the next delivery phase prunes those.
+        self.active_bridges: set[BridgeId] = set()
         self.adapters: dict[Address, Adapter] = {}
         self.executors: dict[str, ExecutorContract] = {}
         self.transactions: dict[str, CrossChainTransaction] = {}
@@ -220,17 +228,20 @@ class World:
         last_scheduled = max([t for t, _ in self.tx_schedule] +
                              [i.tick for i in self.injections] + [0])
 
+        chains = [self.chains[chain_id] for chain_id in sorted(self.chains)]
         try:
             for tick in range(stop.max_ticks):
                 self.clock = tick
-                for chain in self.chains.values():
+                for chain in chains:
                     chain.clock = tick
 
                 for injection in injections_by_tick.get(tick, ()):
                     self._apply_injection(injection)
                 self._drain_kicks()
 
-                for bridge_id in sorted(self.bridges):
+                # Bridges deliver in BridgeId order; an empty queue draws
+                # nothing, so skipping it leaves the RNG stream unchanged.
+                for bridge_id in sorted(self.active_bridges):
                     bridge = self.bridges[bridge_id]
                     for message in bridge.take_due(tick, self.rng):
                         adapter = self.adapters.get(message.dest)
@@ -241,6 +252,8 @@ class World:
                                  "msgid": message.msg_id}))
                             continue
                         adapter.on_recv(message)
+                    if not bridge.queue:
+                        self.active_bridges.discard(bridge_id)
 
                 pending_resolutions = self.resolutions
                 self.resolutions = []
@@ -256,10 +269,13 @@ class World:
                                  "propose", [txid.encode()], txid=txid)
                     self._drain_kicks()
 
-                for chain_id in sorted(self.chains):
-                    chain = self.chains[chain_id]
-                    if tick % chain.seal_every == 0:
+                for chain in chains:
+                    if tick % chain.seal_every != 0:
+                        continue
+                    if chain.pending:
                         self._seal_chain(chain, tick)
+                    else:
+                        chain.height += 1   # counted, not built
 
                 self.end_tick = tick
                 if stop.quiesce and tick >= last_scheduled and \
@@ -287,12 +303,13 @@ class World:
             message = BridgeMessage(msg_id, payload, sender, dest,
                                     origin_block=block.index)
             self.bridges[bridge_id].enqueue(message, tick, self.rng)
+            self.active_bridges.add(bridge_id)
             self.trace.append(TraceEvent(tick, SEND, bridge_id.src, {
                 "bridge": bridge_id, "msgid": msg_id, "sender": sender,
                 "dest": dest, "block": block.index, "payload": payload}))
 
     def quiescent(self) -> bool:
-        if any(b.queue for b in self.bridges.values()):
+        if any(self.bridges[b].queue for b in self.active_bridges):
             return False
         for chain in self.chains.values():
             if any(r[0] == "send" for r in chain.pending):
@@ -341,6 +358,7 @@ class World:
             message = BridgeMessage(self.next_msg_id(), injection.payload,
                                     sender, dest, injection.fake_block)
             bridge.forge(message, tick, self.rng)
+            self.active_bridges.add(injection.bridge)
             self.trace.append(TraceEvent(tick, ADVERSARY, injection.bridge.dst,
                                          {"op": "forge", "bridge":
                                           injection.bridge,

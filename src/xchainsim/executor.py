@@ -16,7 +16,6 @@ refused its lock still receives the unlock request during the abort walk
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .chain import Address, FatalScenarioError, MethodFailure
@@ -157,13 +156,6 @@ class ExecutorContract:
         return True
 
 
-@dataclass
-class RoundResult:
-    action_id: int
-    ok: bool
-    detail: object = None
-
-
 class ProposerMachine:
     """Event-driven protocol state for one proposed transaction."""
 
@@ -188,7 +180,6 @@ class ProposerMachine:
         self.contacted: list = []
         self.unlock_queue: list = []
         self.awaiting: dict = {}          # (adapter addr, seq) -> purpose
-        self.results: list[RoundResult] = []
 
     # Engine entry points -------------------------------------------------
 
@@ -206,12 +197,9 @@ class ProposerMachine:
                 self.lock_index += 1
             else:
                 self._begin_abort(LOCK_CONFLICT)
-        elif kind == "action":
-            self.results.append(RoundResult(purpose[1], bool(future.ok),
-                                            future.result))
-            if not future.ok:
-                self.failure = True
-                self.reason = OP_FAILED
+        elif kind == "action" and not future.ok:
+            self.failure = True
+            self.reason = OP_FAILED
         if not self.awaiting:
             self._advance()
 
@@ -284,10 +272,6 @@ class ProposerMachine:
                       action.method.encode()] + list(action.params)
             if action.chain == self.executor.chain.id:
                 outcome = self._local_call("run_action", params)
-                self.results.append(RoundResult(action_id, outcome.ok,
-                                                outcome.result
-                                                if outcome.ok
-                                                else outcome.reason))
                 if not outcome.ok:
                     self.failure = True
                     self.reason = OP_FAILED

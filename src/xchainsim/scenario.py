@@ -24,6 +24,10 @@ from .methods import library_kinds, token_init
 from .txn import CrossChainTransaction, IndexedAction
 
 
+# libyaml's loader parses about ten times faster where it is installed.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class ValidationError(ScenarioError):
     """Scenario content failed validation; message names the location."""
 
@@ -112,7 +116,7 @@ def resolve_scenario_path(ref: str) -> Path:
 def load_scenario(ref: str) -> Scenario:
     path = resolve_scenario_path(ref)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except yaml.YAMLError as err:
         raise ValidationError("%s: parse error: %s" % (path, err)) from None
     if not isinstance(raw, dict):

@@ -127,7 +127,7 @@ def test_seal_block_indices_and_immutability(world):
     assert block.index == 0 and len(block.records) == 3
     empty = chain.seal_block()
     assert empty.index == 1 and empty.records == ()
-    assert chain.ledger[0] is block
+    assert chain.height == 2
     with pytest.raises(Exception):
         block.records.append("x")  # tuple: sealed blocks cannot grow
 

@@ -1,11 +1,13 @@
-"""Engine behavior: determinism, quiescence, block-rate skew, scenario
-loading and validation."""
+"""Engine behavior: determinism, quiescence, block-rate skew, delivery
+from active bridges, scenario loading and validation."""
 
 import pytest
 
-from xchainsim import (Address, ScenarioError, StopCondition, ValidationError,
-                       World, build_world, bundled_scenarios, load_scenario,
-                       parse_scenario)
+from xchainsim import (Address, Injection, ScenarioError, StopCondition,
+                       ValidationError, World, build_world, bundled_scenarios,
+                       load_scenario, parse_scenario)
+from xchainsim.bridge import Ack, BridgeId
+from xchainsim.trace import RECV, SEND
 
 BUNDLED = ["adversary-drop", "adversary-forge", "swap", "swap-lockfail",
            "swap-updatefail", "symmetric-conflict", "three-exchange"]
@@ -87,6 +89,64 @@ def test_seal_skew_still_commits():
     assert world.machines[0].outcome == "Committed"
     assert world.chains["a"].contract(Address("a", "tok")).vars == \
         {"bal:x": 8, "bal:y": 1}
+
+
+def _adversarial_world() -> World:
+    """Two chains, honest left>right, adversarial right>left, no traffic."""
+    world = World(seed=5)
+    for chain_id in ("left", "right"):
+        world.add_chain(chain_id)
+        world.add_contract(chain_id, "token", "token", owner="alice",
+                           init={"bal:alice": 50, "bal:bob": 50})
+    world.add_bridge("left", "right")
+    world.add_bridge("right", "left", mode="adversarial")
+    return world
+
+
+FORGE = Injection(tick=0, op="forge", bridge=BridgeId("right", "left"),
+                  payload=Ack(seq=999, ok=True))
+
+
+def test_forge_onto_empty_bridge_is_delivered():
+    world = _adversarial_world()
+    world.add_injection(FORGE)
+    world.run()
+    recvs = [e for e in world.trace.events if e.kind == RECV]
+    assert [e.data["msgid"] for e in recvs] == [1]
+    assert world.quiesced and not world.active_bridges
+
+
+def test_drop_that_empties_a_queue_still_quiesces():
+    world = _adversarial_world()
+    drop = Injection(tick=0, op="drop", bridge=FORGE.bridge, queue_index=0)
+    world._apply_injection(FORGE)
+    world._apply_injection(drop)
+    # The bridge stays listed as active with an empty queue until the
+    # next delivery phase; quiescence must not be fooled either way.
+    assert world.active_bridges == {FORGE.bridge}
+    assert world.quiescent() == all(not b.queue
+                                    for b in world.bridges.values())
+
+    world = _adversarial_world()
+    world.add_injection(FORGE)
+    world.add_injection(drop)
+    world.run()
+    assert world.quiesced and world.end_tick == 0
+    assert not world.active_bridges
+    assert not any(e.kind == RECV for e in world.trace.events)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_send_cites_count_of_earlier_seal_ticks(seed):
+    scenario = parse_scenario(SKEWED)
+    world = build_world(scenario, seed=seed)
+    trace = world.run(scenario.stop)
+    sends = [e for e in trace.events if e.kind == SEND]
+    assert {e.chain for e in sends} == {"a", "b"}
+    for event in sends:
+        every = world.chains[event.chain].seal_every
+        earlier = sum(1 for tick in range(event.tick) if tick % every == 0)
+        assert event.data["block"] == earlier
 
 
 def test_unknown_chain_reference_names_location():
