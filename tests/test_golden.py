@@ -47,19 +47,14 @@ def _mesh(k: int) -> dict:
 INLINE = {"skewed": SKEWED, "mesh6-reorder": _mesh(6)}
 
 
-def _scenario(name: str):
-    if name in INLINE:
-        return parse_scenario(INLINE[name])
-    return load_scenario(name)
-
-
 CASES = ["%s@%d" % (name, seed)
          for name in bundled_scenarios() + sorted(INLINE) for seed in SEEDS]
 
 
 def render(case: str) -> bytes:
     name, seed = case.rsplit("@", 1)
-    scenario = _scenario(name)
+    scenario = parse_scenario(INLINE[name]) if name in INLINE \
+        else load_scenario(name)
     trace = build_world(scenario, seed=int(seed)).run(scenario.stop)
     return trace.render().encode()
 
