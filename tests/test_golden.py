@@ -1,18 +1,22 @@
-"""Golden traces: the rendered trace of every bundled scenario and of two
-inline worlds, at seeds 0-2, compared byte for byte with the files under
+"""Golden traces and verdicts: the rendered trace of every bundled
+scenario and of two inline worlds at seeds 0-2, and the rendered verdicts
+of the three checkers on it, compared byte for byte with the files under
 tests/golden/.
 
-The goldens pin determinism across changes, not just within one run.  A
-change that alters a trace on purpose rewrites them with
-`PYTHONPATH=src python tests/test_golden.py` and says why.
+The goldens pin determinism and checker results across changes, not just
+within one run.  A change that alters a trace or a verdict on purpose
+rewrites them with `PYTHONPATH=src python tests/test_golden.py` and says
+why.
 """
 
 from pathlib import Path
 
 import pytest
 
-from xchainsim import build_world, bundled_scenarios, load_scenario, \
-    parse_scenario
+from xchainsim import (MissingOutcomeError, build_world, bundled_scenarios,
+                       check_all_or_nothing, check_secure_transfer,
+                       check_strict_serializability, load_scenario,
+                       parse_scenario)
 
 from test_engine import SKEWED
 
@@ -51,12 +55,37 @@ CASES = ["%s@%d" % (name, seed)
          for name in bundled_scenarios() + sorted(INLINE) for seed in SEEDS]
 
 
-def render(case: str) -> bytes:
+def run(case: str):
     name, seed = case.rsplit("@", 1)
     scenario = parse_scenario(INLINE[name]) if name in INLINE \
         else load_scenario(name)
-    trace = build_world(scenario, seed=int(seed)).run(scenario.stop)
-    return trace.render().encode()
+    world = build_world(scenario, seed=int(seed))
+    trace = world.run(scenario.stop)
+    return trace, [world.transactions[txid] for _, txid in world.tx_schedule]
+
+
+def render(case: str) -> bytes:
+    return run(case)[0].render().encode()
+
+
+def verdicts(case: str) -> bytes:
+    """Every checker's rendered verdict, witness included.  The search
+    budget is the event count, so it never binds; a checker that raises
+    is recorded with its exception."""
+    trace, txns = run(case)
+    checks = (
+        ("secure-transfer", lambda: check_secure_transfer(trace)),
+        ("all-or-nothing", lambda: check_all_or_nothing(trace, txns)),
+        ("strict-serializability", lambda: check_strict_serializability(
+            trace, txns, budget=len(trace.events))))
+    lines = []
+    for name, check in checks:
+        try:
+            lines.append(check().render(name))
+        except MissingOutcomeError as err:
+            lines.append("raised check=%s MissingOutcomeError(%s)"
+                         % (name, err))
+    return ("\n".join(lines) + "\n").encode()
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -64,12 +93,20 @@ def test_trace_matches_golden(case):
     assert render(case) == (GOLDEN / ("%s.trace" % case)).read_bytes()
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_verdicts_match_golden(case):
+    assert verdicts(case) == (GOLDEN / ("%s.verdicts" % case)).read_bytes()
+
+
 def test_every_golden_file_is_a_case():
-    assert sorted(p.stem for p in GOLDEN.glob("*.trace")) == sorted(CASES)
+    for suffix in ("trace", "verdicts"):
+        assert sorted(p.stem for p in GOLDEN.glob("*." + suffix)) == \
+            sorted(CASES)
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in CASES:
         (GOLDEN / ("%s.trace" % case)).write_bytes(render(case))
-    print("wrote %d golden traces to %s" % (len(CASES), GOLDEN))
+        (GOLDEN / ("%s.verdicts" % case)).write_bytes(verdicts(case))
+    print("wrote %d golden traces and verdicts to %s" % (len(CASES), GOLDEN))
