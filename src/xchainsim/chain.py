@@ -71,11 +71,14 @@ class Contract:
     vars: dict
     owner: Address
     kind: str = "custom"
-    locked: bool = False
     locked_by: Optional[Address] = None
     checkpoint: Optional[dict] = None
     trusted_executors: set = field(default_factory=set)
     methods: dict = field(default_factory=dict)
+
+    @property
+    def locked(self) -> bool:
+        return self.locked_by is not None
 
 
 @dataclass(frozen=True)
@@ -204,7 +207,6 @@ class Chain:
             return self._lock_event(caller, target, False, "AlreadyLocked", txid)
         if caller not in contract.trusted_executors:
             return self._lock_event(caller, target, False, "NotTrusted", txid)
-        contract.locked = True
         contract.locked_by = caller
         contract.checkpoint = dict(contract.vars)
         return self._lock_event(caller, target, True, None, txid)
@@ -219,7 +221,6 @@ class Chain:
                                       "NotLockOwner", txid)
         if failure:
             contract.vars = dict(contract.checkpoint)
-        contract.locked = False
         contract.locked_by = None
         contract.checkpoint = None
         return self._unlock_event(caller, target, failure, True, None, txid)

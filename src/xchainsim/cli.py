@@ -17,8 +17,8 @@ import sys
 
 from .chain import FatalScenarioError, ScenarioError
 from .scenario import build_world, load_scenario
-from .verify import (BudgetExceededError, MissingOutcomeError,
-                     check_all_or_nothing, check_secure_transfer,
+from .verify import (BudgetExceededError, MissingOutcomeError, Verdict,
+                     Violation, check_all_or_nothing, check_secure_transfer,
                      check_strict_serializability, extract_metrics)
 
 log = logging.getLogger("xchainsim")
@@ -65,8 +65,7 @@ def _simulate(args):
     scenario = load_scenario(args.scenario)
     world = build_world(scenario, seed=args.seed,
                         lock_order=args.lock_order)
-    trace = world.run(scenario.stop)
-    return scenario, world, trace
+    return world, world.run(scenario.stop)
 
 
 def _write_trace(trace, out_path) -> None:
@@ -93,11 +92,7 @@ def _outcome_summary(world) -> list:
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario, world, trace = _simulate(args)
-    except FatalScenarioError as err:
-        print("fatal scenario error: %s" % err, file=sys.stderr)
-        return EXIT_CONFIG
+    world, trace = _simulate(args)
     _write_trace(trace, args.out)
     sink = sys.stdout if args.out else sys.stderr
     for line in _outcome_summary(world):
@@ -107,7 +102,7 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _run_checks(args, scenario, world, trace):
+def _run_checks(args, world, trace):
     transactions = [world.transactions[txid]
                     for _, txid in world.tx_schedule]
     verdicts = [("secure-transfer", check_secure_transfer(trace))]
@@ -115,7 +110,6 @@ def _run_checks(args, scenario, world, trace):
         verdicts.append(("all-or-nothing",
                          check_all_or_nothing(trace, transactions)))
     except MissingOutcomeError as err:
-        from .verify import Verdict, Violation
         verdicts.append(("all-or-nothing", Verdict(False, [Violation(
             "all-or-nothing", [], "no outcome recorded for %s" % err)])))
     verdicts.append(("strict-serializability",
@@ -125,15 +119,8 @@ def _run_checks(args, scenario, world, trace):
 
 
 def cmd_check(args) -> int:
-    try:
-        scenario, world, trace = _simulate(args)
-        verdicts = _run_checks(args, scenario, world, trace)
-    except FatalScenarioError as err:
-        print("fatal scenario error: %s" % err, file=sys.stderr)
-        return EXIT_CONFIG
-    except BudgetExceededError as err:
-        print("budget exceeded: %s" % err, file=sys.stderr)
-        return EXIT_BUDGET
+    world, trace = _simulate(args)
+    verdicts = _run_checks(args, world, trace)
     if args.out:
         _write_trace(trace, args.out)
     failed = False
@@ -147,11 +134,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    try:
-        scenario, world, trace = _simulate(args)
-    except FatalScenarioError as err:
-        print("fatal scenario error: %s" % err, file=sys.stderr)
-        return EXIT_CONFIG
+    _, trace = _simulate(args)
     report = extract_metrics(trace)
     header = "%-12s %-12s %8s %8s %8s" % ("chain", "role", "xc_msgs",
                                           "tx_count", "op_cost")
@@ -170,11 +153,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_CONFIG
+    scenario = load_scenario(args.scenario)
     total = 0
     passed = 0
     failures = []
@@ -184,15 +163,9 @@ def cmd_sweep(args) -> int:
         world = build_world(scenario, seed=seed, lock_order=args.lock_order)
         try:
             trace = world.run(scenario.stop)
-            verdicts = _run_checks(args, scenario, world, trace)
-        except FatalScenarioError as err:
-            print("fatal scenario error at seed %d: %s" % (seed, err),
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        except BudgetExceededError as err:
-            print("budget exceeded at seed %d: %s" % (seed, err),
-                  file=sys.stderr)
-            return EXIT_BUDGET
+            verdicts = _run_checks(args, world, trace)
+        except (FatalScenarioError, BudgetExceededError) as err:
+            raise type(err)("at seed %d: %s" % (seed, err)) from err
         total += 1
         bad = [name for name, verdict in verdicts if not verdict.passed]
         if bad:
@@ -223,13 +196,19 @@ def main(argv=None) -> int:
         print("error: seed, budget, and seeds must be non-negative",
               file=sys.stderr)
         return EXIT_CONFIG
+    handler = {"run": cmd_run, "check": cmd_check,
+               "metrics": cmd_metrics, "sweep": cmd_sweep}[args.command]
     try:
-        handler = {"run": cmd_run, "check": cmd_check,
-                   "metrics": cmd_metrics, "sweep": cmd_sweep}[args.command]
         return handler(args)
     except ScenarioError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_CONFIG
+    except FatalScenarioError as err:
+        print("fatal scenario error: %s" % err, file=sys.stderr)
+        return EXIT_CONFIG
+    except BudgetExceededError as err:
+        print("budget exceeded: %s" % err, file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

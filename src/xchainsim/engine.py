@@ -203,17 +203,14 @@ class World:
 
     def snapshot(self) -> list:
         out = []
-        for chain_id in sorted(self.chains):
-            for addr, contract in sorted(self.chains[chain_id].contracts
-                                         .items()):
-                if contract.kind == "executor":
-                    continue
-                out.append(ContractSnapshot(
-                    chain=chain_id, local=addr.local, kind=contract.kind,
-                    owner=contract.owner.canon(),
-                    trusted=tuple(sorted(a.canon()
-                                         for a in contract.trusted_executors)),
-                    vars=dict(contract.vars)))
+        for addr, vars_, _, _ in self.state():
+            contract = self.chains[addr.chain].contracts[addr]
+            out.append(ContractSnapshot(
+                chain=addr.chain, local=addr.local, kind=contract.kind,
+                owner=contract.owner.canon(),
+                trusted=tuple(sorted(a.canon()
+                                     for a in contract.trusted_executors)),
+                vars=dict(vars_)))
         return out
 
     def run(self, stop: Optional[StopCondition] = None) -> Trace:
@@ -389,23 +386,25 @@ class World:
         else:
             raise ScenarioError("unknown injection op %r" % injection.op)
 
-    # Oracle support ---------------------------------------------------------
+    # Contract state -------------------------------------------------------
 
-    def clone_for_oracle(self) -> "World":
-        """Interference-free copy for reference execution: same contracts
-        and initial variables, all locks cleared, no bridges or traffic."""
-        clone = World(seed=0, lock_order=self.lock_order,
-                      scenario_name=self.trace.scenario + ":oracle")
-        for chain_id in sorted(self.chains):
-            chain = self.chains[chain_id]
-            clone.add_chain(chain_id, chain.executor_addr.local)
-            for addr, contract in sorted(chain.contracts.items()):
-                if contract.kind == "executor":
-                    continue
-                copy = Contract(addr=addr, vars=dict(contract.vars),
-                                owner=contract.owner, kind=contract.kind,
-                                trusted_executors=set(
-                                    contract.trusted_executors),
-                                methods=contract.methods)
-                clone.chains[chain_id].add_contract(copy)
-        return clone
+    def state(self) -> tuple:
+        """Every non-executor contract's state as one hashable value: in
+        address order, each contract's address, sorted variables, lock
+        owner and checkpoint (None when unlocked, kept apart from an empty
+        checkpoint).  restore() writes it back."""
+        return tuple(
+            (addr, tuple(sorted(c.vars.items())), c.locked_by,
+             None if c.checkpoint is None
+             else tuple(sorted(c.checkpoint.items())))
+            for chain_id in sorted(self.chains)
+            for addr, c in sorted(self.chains[chain_id].contracts.items())
+            if c.kind != "executor")
+
+    def restore(self, state: tuple) -> None:
+        for addr, vars_, locked_by, checkpoint in state:
+            contract = self.chains[addr.chain].contracts[addr]
+            contract.vars = dict(vars_)
+            contract.locked_by = locked_by
+            contract.checkpoint = None if checkpoint is None \
+                else dict(checkpoint)

@@ -99,10 +99,6 @@ def library_kinds() -> list:
     return sorted(_LIBRARY)
 
 
-def method_names(kind: str) -> list:
-    return sorted(_LIBRARY.get(kind, ()))
-
-
 def build_contract(addr: Address, kind: str, owner: Address,
                    init_vars: dict, trusted: set) -> Contract:
     if kind not in _LIBRARY:

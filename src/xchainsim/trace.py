@@ -10,7 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 # Event kinds.
 INVOKE = "invoke"
@@ -117,9 +117,6 @@ class Trace:
 
     def append(self, event: TraceEvent) -> None:
         self.events.append(event)
-
-    def of_kind(self, kind: str) -> Iterable[TraceEvent]:
-        return (e for e in self.events if e.kind == kind)
 
     def render(self) -> str:
         lines = ["meta scenario=%s seed=%d lock_order=%s quiesced=%s end_tick=%d"

@@ -173,13 +173,12 @@ class IdealReport:
 
 
 def ideal_execute(txn: CrossChainTransaction, world) -> IdealReport:
-    """Reference semantics: run the layers sequentially on a scratch copy
-    of the world with no locking and no interference.
+    """Reference semantics: run the layers sequentially on `world` with
+    no locking and no interference.
 
-    On success the scratch copy's scoped state is committed back into
-    `world`; on the first failure `world` is left untouched.  The caller
-    normally passes a clone, using the returned report plus the clone's
-    state as the expected outcome of a protocol run.
+    On success `world` keeps the result; on the first failure the scoped
+    contracts roll back, leaving `world` as it was.  A caller that needs
+    `world` unchanged either way saves `world.state()` and restores it.
     """
     scoped = {}
     for chain_id in txn.chains():

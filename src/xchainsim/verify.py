@@ -8,6 +8,11 @@ sequential reference execution and compares scoped state byte for byte;
 the strict-serializability checker searches exhaustively for a
 reordering of the mutating events into non-overlapping transaction
 blocks that replays to the observed final state.
+
+Replay uses one world rebuilt from the initial snapshot.  The search
+moves it between states with World.state() and World.restore(), one
+hashable value per state that also serves as the memo key, and replays
+each event through the chain's own lock, unlock and invoke.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .chain import Address, Contract, ScenarioError
+from .chain import Address, ScenarioError
 from .engine import World
 from .methods import build_contract
 from .trace import (INVOKE, LOCK, OUTCOME, RECV, SEND, UNLOCK, Trace, canon)
@@ -277,27 +282,20 @@ def _tx_windows(trace: Trace, transactions: list) -> dict:
     return windows
 
 
-def _world_key(world: World):
-    parts = []
-    for chain_id in sorted(world.chains):
-        for addr, contract in sorted(world.chains[chain_id].contracts.items()):
-            if contract.kind == "executor":
-                continue
-            parts.append((addr, tuple(sorted(contract.vars.items())),
-                          contract.locked, contract.locked_by,
-                          tuple(sorted(contract.checkpoint.items()))
-                          if contract.checkpoint else None))
-    return tuple(parts)
-
-
 def _replay_one(world: World, ev: _MutEvent) -> bool:
+    """Replay one event through the chain's own lock discipline, then drop
+    the records it left, so replay memory does not grow with the search."""
     chain = world.chains[ev.chain]
     if ev.kind == "lock":
-        return chain.lock(ev.caller, ev.target).ok
-    if ev.kind == "unlock":
-        return chain.unlock(ev.caller, ev.target, ev.failure).ok
-    return chain.invoke(ev.caller, ev.target, ev.method,
-                        list(ev.params)).ok
+        outcome = chain.lock(ev.caller, ev.target)
+    elif ev.kind == "unlock":
+        outcome = chain.unlock(ev.caller, ev.target, ev.failure)
+    else:
+        outcome = chain.invoke(ev.caller, ev.target, ev.method,
+                               list(ev.params))
+    chain.pending.clear()
+    world.trace.events.clear()
+    return outcome.ok
 
 
 def check_strict_serializability(trace: Trace, transactions: list,
@@ -336,18 +334,20 @@ def check_strict_serializability(trace: Trace, transactions: list,
                     and end_a < start_b:
                 must_precede[b].add(a)
 
-    base = build_replay_world(
+    world = build_replay_world(
         trace, extra_chains={a.chain for t in transactions
                              for a in t.actions})
-    final = trace.final_vars()
+    final = {Address(*key): tuple(sorted(vars_.items()))
+             for key, vars_ in trace.final_vars().items()}
 
-    def finals_match(world: World) -> bool:
-        for snap in trace.initial:
-            contract = world.chains[snap.chain].contract(
-                Address(snap.chain, snap.local))
-            if contract.vars != final.get((snap.chain, snap.local)):
-                return False
-        return True
+    def finals_match(state: tuple) -> bool:
+        return all(vars_ == final.get(addr) for addr, vars_, _, _ in state)
+
+    # Memoized states share every per-contract entry they have in common.
+    entries: dict = {}
+
+    def current_state() -> tuple:
+        return tuple(entries.setdefault(e, e) for e in world.state())
 
     # The per-tx queues are consumed as multisets with constraints; keep
     # per-tx consumed flags rather than a single cursor.
@@ -375,16 +375,16 @@ def check_strict_serializability(trace: Trace, transactions: list,
             out.append((pos, ev))
         return out
 
-    def search(world: World, open_tx, done_txs: frozenset) -> bool:
+    def search(state: tuple, open_tx, done_txs: frozenset) -> bool:
         total_left = sum(f.count(False) for f in consumed.values()) + \
             sum(len(q) - actor_cursor[k] for k, q in actor_queues.items())
         if total_left == 0:
-            return finals_match(world)
+            return finals_match(state)
         progress_key = (open_tx,
                         tuple((t, tuple(f)) for t, f in sorted(
                             consumed.items())),
                         tuple(sorted(actor_cursor.items())),
-                        _world_key(world))
+                        state)
         if progress_key in seen:
             return False
         seen.add(progress_key)
@@ -408,9 +408,10 @@ def check_strict_serializability(trace: Trace, transactions: list,
                     candidates.append(("tx", txid, pos, ev))
 
         for source, key, pos, ev in candidates:
-            clone = _clone_replay(world)
-            if not _replay_one(clone, ev):
+            world.restore(state)
+            if not _replay_one(world, ev):
                 continue
+            next_state = current_state()
             if source == "tx":
                 consumed[key][pos] = True
                 next_open = key if any(not f for f in consumed[key]) else None
@@ -419,7 +420,7 @@ def check_strict_serializability(trace: Trace, transactions: list,
                 actor_cursor[key] += 1
                 next_open, next_done = open_tx, done_txs
             order.append(ev.index)
-            if search(clone, next_open, next_done):
+            if search(next_state, next_open, next_done):
                 return True
             order.pop()
             if source == "tx":
@@ -429,32 +430,13 @@ def check_strict_serializability(trace: Trace, transactions: list,
         return False
 
     empty_done = frozenset(txid for txid in tx_ids if not tx_queues[txid])
-    if search(base, None, empty_done):
+    if search(current_state(), None, empty_done):
         return Verdict(True, [], witness=list(order))
     return Verdict(False, [Violation(
         SERIALIZABILITY, sorted(ev.index for ev in events),
         "no serial ordering of the mutating events reproduces the final "
         "state under program-order, contiguity, and real-time constraints")],
         witness=None)
-
-
-def _clone_replay(world: World) -> World:
-    clone = World(seed=0, scenario_name="replay")
-    for chain_id in sorted(world.chains):
-        chain = world.chains[chain_id]
-        clone.add_chain(chain_id, chain.executor_addr.local)
-        for addr, contract in sorted(chain.contracts.items()):
-            if contract.kind == "executor":
-                continue
-            clone.chains[chain_id].add_contract(Contract(
-                addr=addr, vars=dict(contract.vars), owner=contract.owner,
-                kind=contract.kind, locked=contract.locked,
-                locked_by=contract.locked_by,
-                checkpoint=dict(contract.checkpoint)
-                if contract.checkpoint else None,
-                trusted_executors=set(contract.trusted_executors),
-                methods=contract.methods))
-    return clone
 
 
 # --------------------------------------------------------------------------
@@ -465,22 +447,6 @@ def _clone_replay(world: World) -> World:
 class MetricsReport:
     per_chain: dict = field(default_factory=dict)
     per_transaction: dict = field(default_factory=dict)
-
-    def render(self) -> str:
-        lines = []
-        for chain_id in sorted(self.per_chain):
-            row = self.per_chain[chain_id]
-            lines.append("chain=%s role=%s xc_msgs=%d tx_count=%d op_cost=%d"
-                         % (chain_id, row["role"], row["xc_msgs"],
-                            row["tx_count"], row["op_cost"]))
-        for txid in sorted(self.per_transaction):
-            row = self.per_transaction[txid]
-            line = "txn=%s outcome=%s rounds=%d" % (txid, row["outcome"],
-                                                    row["rounds"])
-            if row.get("reason"):
-                line += " reason=%s" % row["reason"]
-            lines.append(line)
-        return "\n".join(lines)
 
 
 def extract_metrics(trace: Trace) -> MetricsReport:

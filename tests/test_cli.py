@@ -1,5 +1,8 @@
 """Command-line interface: exit codes and output shapes."""
 
+import pytest
+
+from xchainsim import FatalScenarioError, World
 from xchainsim.cli import main
 
 
@@ -49,9 +52,18 @@ def test_check_budget_exceeded_exits_3(capsys):
 
 def test_metrics_prints_table(capsys):
     assert main(["metrics", "--scenario", "swap"]) == 0
+    assert capsys.readouterr().out == (
+        "chain        role          xc_msgs tx_count  op_cost\n"
+        "fantom       proposer            3        4        7\n"
+        "mumbai       participant         3        3        6\n"
+        "txn swap1: outcome=Committed rounds=1\n")
+
+
+def test_metrics_prints_abort_reason(capsys):
+    assert main(["metrics", "--scenario", "swap-lockfail"]) == 0
     out = capsys.readouterr().out
-    assert "fantom       proposer            3        4" in out
-    assert "mumbai       participant         3        3" in out
+    assert out.endswith(
+        "txn swap1: outcome=Aborted rounds=0 reason=LockConflict\n")
 
 
 def test_metrics_three_exchange_proposer_row(capsys):
@@ -77,3 +89,29 @@ def test_lock_order_override_flag(capsys):
                  "--lock-order", "canonical", "--out", "/dev/null"]) == 0
     out = capsys.readouterr().out
     assert "Committed" in out and "Aborted(LockConflict)" in out
+
+
+@pytest.mark.parametrize("command", ["run", "check", "metrics", "sweep"])
+def test_fatal_scenario_error_exits_2(command, monkeypatch, capsys):
+    def fail(self, stop=None):
+        raise FatalScenarioError("method wrote outside its declared scope")
+
+    monkeypatch.setattr(World, "run", fail)
+    argv = [command, "--scenario", "swap", "--seed", "4"]
+    if command == "run":
+        argv += ["--out", "/dev/null"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = "fatal scenario error: %s" % (
+        "at seed 4: " if command == "sweep" else "")
+    assert captured.err == expected + \
+        "method wrote outside its declared scope\n"
+
+
+def test_sweep_budget_exceeded_names_seed_and_exits_3(capsys):
+    assert main(["sweep", "--scenario", "three-exchange", "--seed", "5",
+                 "--seeds", "3", "--budget", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: at seed 5: ")

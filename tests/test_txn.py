@@ -149,37 +149,30 @@ def test_validation_rejects_same_layer_scope_overlap(swap_world):
 
 def test_ideal_execute_success_applies_both_legs(swap_world):
     # hand-applied: c1 alice 10-3, bob 0+3; c2 bob 10-4, alice 0+4
-    oracle = swap_world.clone_for_oracle()
-    report = ideal_execute(swap_txn(), oracle)
+    report = ideal_execute(swap_txn(), swap_world)
     assert report.ok
-    assert oracle.chains["c1"].contract(Address("c1", "tok")).vars == \
+    assert swap_world.chains["c1"].contract(Address("c1", "tok")).vars == \
         {"bal:alice": 7, "bal:bob": 3}
-    assert oracle.chains["c2"].contract(Address("c2", "tok")).vars == \
+    assert swap_world.chains["c2"].contract(Address("c2", "tok")).vars == \
         {"bal:alice": 4, "bal:bob": 6}
 
 
 def test_ideal_execute_failure_restores_scoped_state(swap_world):
-    oracle = swap_world.clone_for_oracle()
-    before = {
-        "c1": dict(oracle.chains["c1"].contract(Address("c1", "tok")).vars),
-        "c2": dict(oracle.chains["c2"].contract(Address("c2", "tok")).vars),
-    }
-    report = ideal_execute(swap_txn(amount_back=99), oracle)
+    before = swap_world.state()
+    report = ideal_execute(swap_txn(amount_back=99), swap_world)
     assert not report.ok
     assert report.failed_action == 1
     assert report.failure_reason == "InsufficientFunds"
-    assert oracle.chains["c1"].contract(Address("c1", "tok")).vars == \
-        before["c1"]
-    assert oracle.chains["c2"].contract(Address("c2", "tok")).vars == \
-        before["c2"]
+    assert swap_world.state() == before
 
 
 def test_ideal_execute_empty_transaction_is_success(swap_world):
     txn = CrossChainTransaction("empty", [], set(),
                                 Address("c1", "origin"), "c1")
-    oracle = swap_world.clone_for_oracle()
-    report = ideal_execute(txn, oracle)
+    before = swap_world.state()
+    report = ideal_execute(txn, swap_world)
     assert report.ok and report.results == []
+    assert swap_world.state() == before
 
 
 def test_within_layer_order_insensitive_when_scopes_disjoint(swap_world):
@@ -187,6 +180,7 @@ def test_within_layer_order_insensitive_when_scopes_disjoint(swap_world):
     # end in the same state
     swap_world.add_contract("c1", "tok2", "token", owner="bob",
                             init={"bal:alice": 5, "bal:bob": 5})
+    start = swap_world.state()
     base_actions = [
         IndexedAction(0, "c1", Address("c1", "tok"), "transfer",
                       (b"alice", b"bob", 2)),
@@ -201,10 +195,7 @@ def test_within_layer_order_insensitive_when_scopes_disjoint(swap_world):
                    for i, a in enumerate(actions)]
         txn = CrossChainTransaction("t", actions, set(),
                                     Address("c1", "origin"), "c1")
-        oracle = swap_world.clone_for_oracle()
-        assert ideal_execute(txn, oracle).ok
-        finals.append({
-            local: dict(oracle.chains["c1"].contract(
-                Address("c1", local)).vars)
-            for local in ("tok", "tok2")})
-    assert finals[0] == finals[1]
+        swap_world.restore(start)
+        assert ideal_execute(txn, swap_world).ok
+        finals.append(swap_world.state())
+    assert finals[0] == finals[1] != start

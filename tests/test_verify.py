@@ -4,10 +4,11 @@ its hand-built violating fixtures with the right violation kind."""
 import pytest
 
 from xchainsim import (Address, BudgetExceededError, Injection,
-                       MissingOutcomeError, build_world,
+                       MissingOutcomeError, World, build_world,
                        check_all_or_nothing, check_secure_transfer,
                        check_strict_serializability, extract_metrics,
-                       load_scenario)
+                       load_scenario, parse_scenario)
+from xchainsim import verify
 from xchainsim.trace import ContractSnapshot
 from xchainsim.verify import (ALL_OR_NOTHING, EXACTLY_ONCE, LIVENESS, SAFETY,
                               SERIALIZABILITY)
@@ -216,7 +217,6 @@ def test_fixture_real_time_order_violation_fails():
                  "params": [2]}]},
         ],
     }
-    from xchainsim import parse_scenario
     scenario = parse_scenario(raw)
     world = build_world(scenario, seed=0)
     trace = world.run(scenario.stop)
@@ -238,6 +238,87 @@ def test_aborted_transactions_serialize_as_empty_blocks():
     _, trace, txns = run_bundled("symmetric-conflict", seed=3)
     verdict = check_strict_serializability(trace, txns)
     assert verdict.passed
+
+
+def test_abort_after_locking_a_contract_without_variables_serializes():
+    # the counter has no variables, so its lock checkpoint is empty; the
+    # abort rolls back to it and the replay must do the same
+    raw = {
+        "name": "empty-checkpoint",
+        "chains": [
+            {"id": "a", "contracts": [{"local": "reg", "kind": "counter"}]},
+            {"id": "b", "contracts": [{"local": "bad", "kind": "faulty"}]}],
+        "bridges": [{"src": "a", "dst": "b", "max_delay": 1},
+                    {"src": "b", "dst": "a", "max_delay": 1}],
+        "transactions": [{"txid": "t", "proposer": "a", "tick": 0,
+                          "actions": [
+                              {"chain": "a", "target": "reg",
+                               "method": "incr", "params": [1]},
+                              {"chain": "b", "target": "bad",
+                               "method": "fail", "params": []}]}],
+    }
+    scenario = parse_scenario(raw)
+    world = build_world(scenario, seed=0)
+    trace = world.run(scenario.stop)
+    txns = [world.transactions[txid] for _, txid in world.tx_schedule]
+    assert (world.machines[0].outcome, world.machines[0].reason) == \
+        ("Aborted", "OpFailed")
+    assert check_all_or_nothing(trace, txns).passed
+    verdict = check_strict_serializability(trace, txns)
+    assert verdict.passed
+    assert verdict.witness == [1, 7, 13, 29, 35]
+
+
+def test_serializability_replay_keeps_no_records(monkeypatch):
+    # the search replays on one world; what replay records there must not
+    # pile up with the number of search steps
+    worlds = []
+    original = verify.build_replay_world
+
+    def build(*args, **kwargs):
+        worlds.append(original(*args, **kwargs))
+        return worlds[-1]
+
+    monkeypatch.setattr(verify, "build_replay_world", build)
+    _, trace, txns = run_bundled(
+        "swap", seed=7, injections=interference(("fantom", "mumbai")))
+    assert check_strict_serializability(trace, txns).passed
+    (world,) = worlds
+    assert world.trace.events == []
+    assert not any(chain.pending for chain in world.chains.values())
+
+
+def test_state_round_trip_keeps_lock_owner_and_empty_checkpoint():
+    world = World(seed=0)
+    world.add_chain("a")
+    world.add_contract("a", "reg", "counter")
+    world.add_contract("a", "tok", "token", init={"bal:alice": 3})
+    chain, reg = world.chains["a"], Address("a", "reg")
+    executor = chain.executor_addr
+    unlocked = world.state()
+    assert [entry[0] for entry in unlocked] == [reg, Address("a", "tok")]
+    assert unlocked[0] == (reg, (), None, None)
+
+    assert chain.lock(executor, reg).ok
+    locked = world.state()
+    assert locked[0] == (reg, (), executor, ())   # {} is not None
+    assert chain.invoke(executor, reg, "incr", [2]).ok
+    assert world.state()[0] == (reg, (("count", 2),), executor, ())
+    hash(world.state())
+
+    world.restore(unlocked)
+    contract = chain.contract(reg)
+    assert not contract.locked and contract.locked_by is None
+    assert contract.checkpoint is None and contract.vars == {}
+    assert world.state() == unlocked
+
+    world.restore(locked)
+    assert contract.locked and contract.locked_by == executor
+    assert contract.checkpoint == {} and contract.vars == {}
+    assert world.state() == locked
+    assert chain.invoke(executor, reg, "incr", [5]).ok
+    assert chain.unlock(executor, reg, True).ok    # back to the {} checkpoint
+    assert world.state() == unlocked
 
 
 # --------------------------------------------------------------------------
