@@ -1,6 +1,7 @@
 """Golden traces and verdicts: the rendered trace of every bundled
-scenario and of two inline worlds at seeds 0-2, and the rendered verdicts
-of the three checkers on it, compared byte for byte with the files under
+scenario, of two inline worlds and of two bundled scenarios under eve's
+interference at seeds 0-2, and the rendered verdicts of the three
+checkers on it, compared byte for byte with the files under
 tests/golden/.
 
 The goldens pin determinism and checker results across changes, not just
@@ -13,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from xchainsim import (MissingOutcomeError, build_world, bundled_scenarios,
-                       check_all_or_nothing, check_secure_transfer,
+from xchainsim import (Address, Injection, MissingOutcomeError, build_world,
+                       bundled_scenarios, check_all_or_nothing, check_secure_transfer,
                        check_strict_serializability, load_scenario,
                        parse_scenario)
 
@@ -48,18 +49,44 @@ def _mesh(k: int) -> dict:
             "transactions": [swap(i, i ^ 1) for i in range(k)]}
 
 
+def eve(world) -> list:
+    """Eve's out-of-scope counter bump, guarded transfer and foreign lock
+    on every chain, the injections of the acceptance interference sweep:
+    several independent actors write next to the transactions."""
+    out = []
+    for chain_id in sorted(world.chains):
+        caller, token = Address(chain_id, "eve"), Address(chain_id, "token")
+        out.append(Injection(tick=2, op="invoke", chain=chain_id,
+                             caller=caller, target=Address(chain_id, "side"),
+                             method="incr", params=[1]))
+        if world.chains[chain_id].contract(token) is not None:
+            out.append(Injection(tick=4, op="invoke", chain=chain_id,
+                                 caller=caller, target=token,
+                                 method="transfer",
+                                 params=[b"eve", b"bob", 1]))
+            out.append(Injection(tick=4, op="lock", chain=chain_id,
+                                 caller=caller, target=token))
+    return out
+
+
 INLINE = {"skewed": SKEWED, "mesh6-reorder": _mesh(6)}
+EVE = ("swap-lockfail", "three-exchange")
 
 
 CASES = ["%s@%d" % (name, seed)
          for name in bundled_scenarios() + sorted(INLINE) for seed in SEEDS]
+CASES += ["%s+eve@%d" % (name, seed) for name in EVE for seed in SEEDS]
 
 
 def run(case: str):
     name, seed = case.rsplit("@", 1)
-    scenario = parse_scenario(INLINE[name]) if name in INLINE \
-        else load_scenario(name)
+    base = name.removesuffix("+eve")
+    scenario = parse_scenario(INLINE[base]) if base in INLINE \
+        else load_scenario(base)
     world = build_world(scenario, seed=int(seed))
+    if base != name:
+        for injection in eve(world):
+            world.add_injection(injection)
     trace = world.run(scenario.stop)
     return trace, [world.transactions[txid] for _, txid in world.tx_schedule]
 

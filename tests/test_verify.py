@@ -8,8 +8,8 @@ from xchainsim import (Address, BudgetExceededError, Injection,
                        check_all_or_nothing, check_secure_transfer,
                        check_strict_serializability, extract_metrics,
                        load_scenario, parse_scenario)
-from xchainsim import verify
-from xchainsim.trace import ContractSnapshot
+from xchainsim import layer_partition, verify
+from xchainsim.trace import INVOKE, LOCK, OUTCOME, UNLOCK, ContractSnapshot
 from xchainsim.verify import (ALL_OR_NOTHING, EXACTLY_ONCE, LIVENESS, SAFETY,
                               SERIALIZABILITY)
 
@@ -319,6 +319,100 @@ def test_state_round_trip_keeps_lock_owner_and_empty_checkpoint():
     assert chain.invoke(executor, reg, "incr", [5]).ok
     assert chain.unlock(executor, reg, True).ok    # back to the {} checkpoint
     assert world.state() == unlocked
+
+
+def assert_valid_witness(trace, txns, witness):
+    """Check a serializability witness against the trace directly: a
+    permutation of the mutating events, one contiguous block per
+    transaction, per-chain and layer order inside a transaction, per-chain
+    order for each independent actor, real-time order between
+    transactions, and a replay that reaches the observed final vars."""
+    events = trace.events
+    mutating = [i for i, e in enumerate(events)
+                if (e.kind == INVOKE and e.data.get("writes"))
+                or (e.kind in (LOCK, UNLOCK) and e.data["ok"])]
+    assert sorted(witness) == mutating
+    position = {index: pos for pos, index in enumerate(witness)}
+
+    by_txid = {t.txid: t for t in txns}
+    groups = {}          # txid, or (chain, actor) -> indices in trace order
+    for index in mutating:
+        data = events[index].data
+        txid = data.get("txid")
+        key = txid if txid in by_txid else \
+            (events[index].chain,
+             txid or data.get("actor") or data["caller"].canon())
+        groups.setdefault(key, []).append(index)
+
+    for key, indices in groups.items():
+        spots = sorted(position[i] for i in indices)
+        for chain in {events[i].chain for i in indices}:
+            on_chain = [position[i] for i in indices
+                        if events[i].chain == chain]
+            assert on_chain == sorted(on_chain), (key, chain)
+        if key not in by_txid:
+            continue
+        assert spots == list(range(spots[0], spots[0] + len(spots))), key
+        plan = layer_partition(by_txid[key])
+        layers = []
+        for i in indices:
+            data = events[i].data
+            if events[i].kind != INVOKE:
+                continue
+            for action in by_txid[key].actions:
+                if (action.target, action.method, tuple(action.params)) == \
+                        (data["target"], data["method"],
+                         tuple(data["params"])):
+                    layers.append((position[i],
+                                   plan.layer_of(action.action_id)))
+                    break
+        layers.sort()
+        assert [layer for _, layer in layers] == \
+            sorted(layer for _, layer in layers), key
+
+    start, end = {}, {}
+    for e in events:
+        if e.kind == INVOKE and e.data.get("method") == "propose":
+            start.setdefault(e.data.get("txid"), e.tick)
+        elif e.kind == OUTCOME:
+            end[e.data["txid"]] = e.tick
+    for a in groups:
+        for b in groups:
+            if a in end and b in start and end[a] < start[b]:
+                assert max(position[i] for i in groups[a]) < \
+                    min(position[i] for i in groups[b]), (a, b)
+
+    world = verify.build_replay_world(
+        trace, extra_chains={a.chain for t in txns for a in t.actions})
+    for index in witness:
+        e = events[index]
+        chain = world.chains[e.chain]
+        if e.kind == LOCK:
+            outcome = chain.lock(e.data["caller"], e.data["target"])
+        elif e.kind == UNLOCK:
+            outcome = chain.unlock(e.data["caller"], e.data["target"],
+                                   bool(e.data["failure"]))
+        else:
+            outcome = chain.invoke(e.data["caller"], e.data["target"],
+                                   e.data["method"], list(e.data["params"]))
+        assert outcome.ok, index
+    assert {(s.chain, s.local): s.vars for s in world.snapshot()} == \
+        trace.final_vars()
+
+
+def _golden_and_mesh_cases():
+    from test_golden import CASES
+    return CASES + ["mesh6-reorder@%d" % seed for seed in range(3, 6)]
+
+
+@pytest.mark.parametrize("case", _golden_and_mesh_cases())
+def test_returned_witness_is_valid(case):
+    from test_golden import run
+    trace, txns = run(case)
+    verdict = check_strict_serializability(trace, txns,
+                                           budget=len(trace.events))
+    if verdict.passed:
+        assert_valid_witness(trace, txns, verdict.witness)
 
 
 # --------------------------------------------------------------------------
