@@ -115,9 +115,6 @@ class World:
                                   init or {}, trusted_addrs)
         return chain.add_contract(contract)
 
-    def add_custom_contract(self, contract: Contract) -> Contract:
-        return self.chains[contract.addr.chain].add_contract(contract)
-
     def add_bridge(self, src: str, dst: str, max_delay: int = 3,
                    reorder: bool = False, mode: str = "honest",
                    tag: int = 0) -> Bridge:
@@ -255,7 +252,9 @@ class World:
                 pending_resolutions = self.resolutions
                 self.resolutions = []
                 for adapter, future in pending_resolutions:
-                    owner = self.future_owner.get((adapter.addr, future.seq))
+                    # A future resolves once, so its owner is needed once.
+                    owner = self.future_owner.pop((adapter.addr, future.seq),
+                                                  None)
                     if owner is not None:
                         owner.on_future(adapter, future)
 

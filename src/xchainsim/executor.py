@@ -33,8 +33,6 @@ ABORTED = "Aborted"
 LOCK_CONFLICT = "LockConflict"
 OP_FAILED = "OpFailed"
 
-PROTOCOL_METHODS = ("propose", "lock_scope", "run_action", "unlock_scope")
-
 
 def encode_address(addr: Address) -> bytes:
     return addr.canon().encode()

@@ -167,7 +167,6 @@ def validate_transaction(txn: CrossChainTransaction, world) -> LayerPlan:
 class IdealReport:
     ok: bool
     results: list = field(default_factory=list)  # (action_id, ok, result/reason)
-    failed_layer: Optional[int] = None
     failed_action: Optional[int] = None
     failure_reason: Optional[str] = None
 
@@ -188,7 +187,7 @@ def ideal_execute(txn: CrossChainTransaction, world) -> IdealReport:
 
     plan = layer_partition(txn)
     report = IdealReport(True)
-    for layer_index, layer in enumerate(plan.layers):
+    for layer in plan.layers:
         for action_id in layer:
             action = txn.action(action_id)
             chain = world.chains[action.chain]
@@ -199,7 +198,6 @@ def ideal_execute(txn: CrossChainTransaction, world) -> IdealReport:
                 report.results.append((action_id, True, outcome.result))
                 continue
             report.ok = False
-            report.failed_layer = layer_index
             report.failed_action = action_id
             report.failure_reason = outcome.reason
             report.results.append((action_id, False, outcome.reason))

@@ -10,9 +10,12 @@ reordering of the mutating events into non-overlapping transaction
 blocks that replays to the observed final state.
 
 Replay uses one world rebuilt from the initial snapshot.  The search
-moves it between states with World.state() and World.restore(), one
-hashable value per state that also serves as the memo key, and replays
-each event through the chain's own lock, unlock and invoke.
+gives every mutating event one bit and a need mask, the events that
+program, layer, actor and real-time order put before it; its progress is
+one mask of placed events plus the open transaction.  It moves the world
+between states with World.state() and World.restore(), replays each
+event through the chain's own lock, unlock and invoke, and memoizes on
+the state, the placed mask and the open transaction together.
 """
 
 from __future__ import annotations
@@ -266,19 +269,18 @@ def _extract_mutating(trace: Trace, transactions: list) -> list:
 
 
 def _tx_windows(trace: Trace, transactions: list) -> dict:
-    """Propose and completion ticks per transaction, for the real-time
+    """Propose and outcome ticks per transaction, for the real-time
     ordering constraint between non-overlapping transactions."""
-    windows = {}
-    outcomes = _outcomes(trace)
-    for txn in transactions:
-        start = None
-        for event in trace.events:
-            if event.kind == INVOKE and event.data.get("txid") == txn.txid \
-                    and event.data.get("method") == "propose":
-                start = event.tick
-                break
-        end = outcomes[txn.txid][1].tick if txn.txid in outcomes else None
-        windows[txn.txid] = (start, end)
+    windows = {t.txid: [None, None] for t in transactions}
+    for event in trace.events:
+        window = windows.get(event.data.get("txid"))
+        if window is None:
+            continue
+        if event.kind == OUTCOME:
+            window[1] = event.tick
+        elif event.kind == INVOKE and event.data.get("method") == "propose" \
+                and window[0] is None:
+            window[0] = event.tick
     return windows
 
 
@@ -300,7 +302,7 @@ def _replay_one(world: World, ev: _MutEvent) -> bool:
 
 def check_strict_serializability(trace: Trace, transactions: list,
                                  budget: int = 14) -> Verdict:
-    """Exhaustive witness search with memoized pruning.
+    """Exhaustive witness search over placed-event masks, memoized.
 
     A witness is an ordering of all mutating events such that (1) events
     of one transaction keep their per-chain order and their layer order,
@@ -309,6 +311,15 @@ def check_strict_serializability(trace: Trace, transactions: list,
     (4) independent actors keep their own per-chain order, and (5)
     replaying the ordering from the initial snapshot reproduces every
     contract's observed final variables.
+
+    Each event gets one bit, in candidate order: independent actors by
+    (chain, actor), then transactions in declaration order, each in trace
+    order.  Its need mask holds the events that must be placed before it:
+    earlier events of its own group on its chain (1, 4), the lower-layer
+    events of its transaction (1) and every event of each transaction
+    that finished before its own was proposed (3).  A search state is
+    the replay state, the mask of placed events and the open transaction
+    (2), and it is its own memo key.
     """
     events = _extract_mutating(trace, transactions)
     if len(events) > budget:
@@ -316,23 +327,37 @@ def check_strict_serializability(trace: Trace, transactions: list,
             "%d mutating events exceed the budget of %d"
             % (len(events), budget))
 
-    tx_queues: dict[str, list] = {t.txid: [] for t in transactions}
-    actor_queues: dict[tuple, list] = {}
-    for ev in events:
-        if ev.txid is not None:
-            tx_queues[ev.txid].append(ev)
-        else:
-            actor_queues.setdefault((ev.chain, ev.actor), []).append(ev)
+    rank = {t.txid: i for i, t in enumerate(transactions)}
 
+    def group(ev: _MutEvent) -> tuple:
+        return (0, ev.chain, ev.actor) if ev.txid is None \
+            else (1, rank[ev.txid])
+
+    events.sort(key=group)          # bit i is events[i]
+    groups: dict = {}
+    block = dict.fromkeys(rank, 0)  # each transaction's events
+    for i, ev in enumerate(events):
+        groups.setdefault(group(ev), []).append(i)
+        if ev.txid is not None:
+            block[ev.txid] |= 1 << i
+    before = dict.fromkeys(rank, 0)
     windows = _tx_windows(trace, transactions)
-    tx_ids = [t.txid for t in transactions]
-    must_precede = {txid: set() for txid in tx_ids}
-    for a in tx_ids:
-        for b in tx_ids:
-            start_b, end_a = windows[b][0], windows[a][1]
+    for a, (_, end_a) in windows.items():
+        for b, (start_b, _) in windows.items():
             if a != b and end_a is not None and start_b is not None \
                     and end_a < start_b:
-                must_precede[b].add(a)
+                before[b] |= block[a]
+
+    need = []
+    for i, ev in enumerate(events):
+        mask = before.get(ev.txid, 0)
+        for j in groups[group(ev)]:
+            other = events[j]
+            if (j < i and other.chain == ev.chain) or (
+                    ev.layer is not None and other.layer is not None
+                    and other.layer < ev.layer):
+                mask |= 1 << j
+        need.append(mask)
 
     world = build_replay_world(
         trace, extra_chains={a.chain for t in transactions
@@ -349,88 +374,34 @@ def check_strict_serializability(trace: Trace, transactions: list,
     def current_state() -> tuple:
         return tuple(entries.setdefault(e, e) for e in world.state())
 
-    # The per-tx queues are consumed as multisets with constraints; keep
-    # per-tx consumed flags rather than a single cursor.
-    consumed: dict[str, list] = {txid: [False] * len(q)
-                                 for txid, q in tx_queues.items()}
-    actor_cursor = {key: 0 for key in actor_queues}
+    everything = (1 << len(events)) - 1
     seen = set()
     order: list = []
 
-    def tx_candidates(txid: str) -> list:
-        queue = tx_queues[txid]
-        flags = consumed[txid]
-        out = []
-        for pos, ev in enumerate(queue):
-            if flags[pos]:
-                continue
-            if any(not flags[p] for p in range(pos)
-                   if queue[p].chain == ev.chain):
-                continue
-            if ev.layer is not None and any(
-                    not flags[p] for p in range(len(queue))
-                    if queue[p].layer is not None
-                    and queue[p].layer < ev.layer):
-                continue
-            out.append((pos, ev))
-        return out
-
-    def search(state: tuple, open_tx, done_txs: frozenset) -> bool:
-        total_left = sum(f.count(False) for f in consumed.values()) + \
-            sum(len(q) - actor_cursor[k] for k, q in actor_queues.items())
-        if total_left == 0:
+    def search(state: tuple, placed: int, open_tx) -> bool:
+        if placed == everything:
             return finals_match(state)
-        progress_key = (open_tx,
-                        tuple((t, tuple(f)) for t, f in sorted(
-                            consumed.items())),
-                        tuple(sorted(actor_cursor.items())),
-                        state)
-        if progress_key in seen:
+        key = (state, placed, open_tx)
+        if key in seen:
             return False
-        seen.add(progress_key)
-
-        candidates = []
-        if open_tx is not None:
-            for pos, ev in tx_candidates(open_tx):
-                candidates.append(("tx", open_tx, pos, ev))
-        else:
-            for key in sorted(actor_queues):
-                cursor = actor_cursor[key]
-                if cursor < len(actor_queues[key]):
-                    candidates.append(("actor", key, cursor,
-                                       actor_queues[key][cursor]))
-            for txid in tx_ids:
-                if txid in done_txs:
-                    continue
-                if any(p not in done_txs for p in must_precede[txid]):
-                    continue
-                for pos, ev in tx_candidates(txid):
-                    candidates.append(("tx", txid, pos, ev))
-
-        for source, key, pos, ev in candidates:
+        seen.add(key)
+        for i, ev in enumerate(events):
+            bit = 1 << i
+            if placed & bit or need[i] & ~placed or \
+                    open_tx not in (None, ev.txid):
+                continue
             world.restore(state)
             if not _replay_one(world, ev):
                 continue
-            next_state = current_state()
-            if source == "tx":
-                consumed[key][pos] = True
-                next_open = key if any(not f for f in consumed[key]) else None
-                next_done = done_txs if next_open else done_txs | {key}
-            else:
-                actor_cursor[key] += 1
-                next_open, next_done = open_tx, done_txs
+            now = placed | bit
             order.append(ev.index)
-            if search(next_state, next_open, next_done):
+            if search(current_state(), now,
+                      ev.txid if block.get(ev.txid, 0) & ~now else None):
                 return True
             order.pop()
-            if source == "tx":
-                consumed[key][pos] = False
-            else:
-                actor_cursor[key] -= 1
         return False
 
-    empty_done = frozenset(txid for txid in tx_ids if not tx_queues[txid])
-    if search(current_state(), None, empty_done):
+    if search(current_state(), 0, None):
         return Verdict(True, [], witness=list(order))
     return Verdict(False, [Violation(
         SERIALIZABILITY, sorted(ev.index for ev in events),

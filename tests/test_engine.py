@@ -47,6 +47,16 @@ def test_quiesce_waits_for_everything():
         assert all(f.terminal for f in adapter.futures.values())
 
 
+def test_resolved_futures_leave_no_owner_entry():
+    # a future resolves once, so the engine forgets its owner on dispatch
+    scenario = load_scenario("swap")
+    world = build_world(scenario, seed=0)
+    world.run(scenario.stop)
+    assert world.quiesced
+    assert any(adapter.futures for adapter in world.adapters.values())
+    assert world.future_owner == {}
+
+
 def test_max_ticks_stop_leaves_quiesced_false():
     scenario = load_scenario("adversary-drop")
     world = build_world(scenario, seed=0)

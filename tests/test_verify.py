@@ -13,6 +13,8 @@ from xchainsim.trace import INVOKE, LOCK, OUTCOME, UNLOCK, ContractSnapshot
 from xchainsim.verify import (ALL_OR_NOTHING, EXACTLY_ONCE, LIVENESS, SAFETY,
                               SERIALIZABILITY)
 
+from test_golden import CASES, run
+
 
 def run_bundled(name, seed=0, injections=(), lock_order=None):
     scenario = load_scenario(name)
@@ -400,14 +402,9 @@ def assert_valid_witness(trace, txns, witness):
         trace.final_vars()
 
 
-def _golden_and_mesh_cases():
-    from test_golden import CASES
-    return CASES + ["mesh6-reorder@%d" % seed for seed in range(3, 6)]
-
-
-@pytest.mark.parametrize("case", _golden_and_mesh_cases())
+@pytest.mark.parametrize(
+    "case", CASES + ["mesh6-reorder@%d" % seed for seed in range(3, 6)])
 def test_returned_witness_is_valid(case):
-    from test_golden import run
     trace, txns = run(case)
     verdict = check_strict_serializability(trace, txns,
                                            budget=len(trace.events))
