@@ -1,5 +1,5 @@
 """Golden traces and verdicts: the rendered trace of every bundled
-scenario, of two inline worlds and of two bundled scenarios under eve's
+scenario, of three inline worlds and of two bundled scenarios under eve's
 interference at seeds 0-2, and the rendered verdicts of the three
 checkers on it, compared byte for byte with the files under
 tests/golden/.
@@ -69,7 +69,38 @@ def eve(world) -> list:
     return out
 
 
-INLINE = {"skewed": SKEWED, "mesh6-reorder": _mesh(6)}
+# Two actors write one counter next to a swap; zed's set lands first, so
+# the final count is amy's.  Actors are tried in (chain, actor) order, so
+# the search places amy's set first, fails to reach the final state and
+# has to backtrack to a witness.
+BACKTRACK = {
+    "name": "backtrack",
+    "chains": [
+        {"id": "a", "contracts": [
+            {"local": "token", "kind": "token", "owner": "alice",
+             "init": {"alice": 10, "bob": 10}},
+            {"local": "reg", "kind": "counter", "init": {"count": 0}}]},
+        {"id": "b", "contracts": [
+            {"local": "token", "kind": "token", "owner": "bob",
+             "init": {"alice": 10, "bob": 10}}]}],
+    "bridges": [{"src": "a", "dst": "b", "max_delay": 1},
+                {"src": "b", "dst": "a", "max_delay": 1}],
+    "transactions": [{"txid": "t", "proposer": "a", "tick": 0,
+                      "originator": "alice", "actions": [
+                          {"chain": "a", "target": "token",
+                           "method": "transfer", "params": ["alice", "bob", 1]},
+                          {"chain": "b", "target": "token",
+                           "method": "transfer",
+                           "params": ["bob", "alice", 2]}]}],
+    "adversary": [
+        {"tick": 1, "op": "invoke", "chain": "a", "caller": "zed",
+         "target": "reg", "method": "set", "params": [1]},
+        {"tick": 2, "op": "invoke", "chain": "a", "caller": "amy",
+         "target": "reg", "method": "set", "params": [2]}],
+}
+
+INLINE = {"skewed": SKEWED, "mesh6-reorder": _mesh(6),
+          "backtrack": BACKTRACK}
 EVE = ("swap-lockfail", "three-exchange")
 
 
