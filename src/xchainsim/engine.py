@@ -388,22 +388,30 @@ class World:
     # Contract state -------------------------------------------------------
 
     def state(self) -> tuple:
-        """Every non-executor contract's state as one hashable value: in
-        address order, each contract's address, sorted variables, lock
-        owner and checkpoint (None when unlocked, kept apart from an empty
-        checkpoint).  restore() writes it back."""
+        """Every non-executor contract's state as one hashable value: its
+        contract_entry() in address order.  restore() writes it back."""
         return tuple(
-            (addr, tuple(sorted(c.vars.items())), c.locked_by,
-             None if c.checkpoint is None
-             else tuple(sorted(c.checkpoint.items())))
+            contract_entry(c)
             for chain_id in sorted(self.chains)
-            for addr, c in sorted(self.chains[chain_id].contracts.items())
+            for _, c in sorted(self.chains[chain_id].contracts.items())
             if c.kind != "executor")
 
-    def restore(self, state: tuple) -> None:
+    def restore(self, state) -> None:
+        """Write back contract entries: a whole state() value, or any
+        iterable of entries for the contracts that differ."""
         for addr, vars_, locked_by, checkpoint in state:
             contract = self.chains[addr.chain].contracts[addr]
             contract.vars = dict(vars_)
             contract.locked_by = locked_by
             contract.checkpoint = None if checkpoint is None \
                 else dict(checkpoint)
+
+
+def contract_entry(contract: Contract) -> tuple:
+    """One contract's part of World.state(): its address, sorted
+    variables, lock owner and checkpoint (None when unlocked, kept apart
+    from an empty checkpoint)."""
+    checkpoint = contract.checkpoint
+    return (contract.addr, tuple(sorted(contract.vars.items())),
+            contract.locked_by,
+            None if checkpoint is None else tuple(sorted(checkpoint.items())))

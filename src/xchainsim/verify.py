@@ -12,10 +12,17 @@ blocks that replays to the observed final state.
 Replay uses one world rebuilt from the initial snapshot.  The search
 gives every mutating event one bit and a need mask, the events that
 program, layer, actor and real-time order put before it; its progress is
-one mask of placed events plus the open transaction.  It moves the world
-between states with World.state() and World.restore(), replays each
-event through the chain's own lock, unlock and invoke, and memoizes on
-the state, the placed mask and the open transaction together.
+one mask of placed events plus the open transaction.  It replays each
+event through the chain's own lock, unlock and invoke, and a step costs
+one contract, not the world: a state is one interned number per
+contract_entry() (World.state() order), the world remembers which state
+it is in and World.restore() writes back only the entries that differ,
+and after a replay only the target's entry is rebuilt, because lock and
+unlock write only their target and Chain.invoke refuses a library
+method's write outside its own contract.  The memo key is the tuple of
+entry numbers, the placed mask and the open transaction.  The search
+runs on an explicit stack of frames, one per placed event, so a trace of
+any depth is checked without recursion.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .chain import Address, ScenarioError
-from .engine import World
+from .engine import World, contract_entry
 from .methods import build_contract
 from .trace import (INVOKE, LOCK, OUTCOME, RECV, SEND, UNLOCK, Trace, canon)
 from .txn import ideal_execute, layer_partition, scope_union
@@ -319,7 +326,8 @@ def check_strict_serializability(trace: Trace, transactions: list,
     events of its transaction (1) and every event of each transaction
     that finished before its own was proposed (3).  A search state is
     the replay state, the mask of placed events and the open transaction
-    (2), and it is its own memo key.
+    (2), and it is its own memo key.  Candidates are tried in bit order,
+    depth first, from an explicit stack.
     """
     events = _extract_mutating(trace, transactions)
     if len(events) > budget:
@@ -334,12 +342,14 @@ def check_strict_serializability(trace: Trace, transactions: list,
             else (1, rank[ev.txid])
 
     events.sort(key=group)          # bit i is events[i]
-    groups: dict = {}
     block = dict.fromkeys(rank, 0)  # each transaction's events
+    layers: dict = {}               # txid -> layer -> its events
     for i, ev in enumerate(events):
-        groups.setdefault(group(ev), []).append(i)
         if ev.txid is not None:
             block[ev.txid] |= 1 << i
+        if ev.layer is not None:
+            by_layer = layers.setdefault(ev.txid, {})
+            by_layer[ev.layer] = by_layer.get(ev.layer, 0) | 1 << i
     before = dict.fromkeys(rank, 0)
     windows = _tx_windows(trace, transactions)
     for a, (_, end_a) in windows.items():
@@ -349,14 +359,15 @@ def check_strict_serializability(trace: Trace, transactions: list,
                 before[b] |= block[a]
 
     need = []
+    on_chain: dict = {}             # (group, chain) -> its events so far
     for i, ev in enumerate(events):
-        mask = before.get(ev.txid, 0)
-        for j in groups[group(ev)]:
-            other = events[j]
-            if (j < i and other.chain == ev.chain) or (
-                    ev.layer is not None and other.layer is not None
-                    and other.layer < ev.layer):
-                mask |= 1 << j
+        key = (group(ev), ev.chain)
+        mask = before.get(ev.txid, 0) | on_chain.get(key, 0)
+        on_chain[key] = on_chain.get(key, 0) | 1 << i
+        if ev.layer is not None:
+            for layer, bits in layers[ev.txid].items():
+                if layer < ev.layer:
+                    mask |= bits
         need.append(mask)
 
     world = build_replay_world(
@@ -365,44 +376,79 @@ def check_strict_serializability(trace: Trace, transactions: list,
     final = {Address(*key): tuple(sorted(vars_.items()))
              for key, vars_ in trace.final_vars().items()}
 
+    # A state is one entry number per contract, in World.state() order;
+    # equal entries share a number, so states compare and hash as ints.
+    table: list = []                # number -> contract entry
+    numbers: dict = {}              # contract entry -> number
+
+    def intern(entry: tuple) -> int:
+        number = numbers.get(entry)
+        if number is None:
+            number = numbers[entry] = len(table)
+            table.append(entry)
+        return number
+
+    start = tuple(intern(entry) for entry in world.state())
+    slot = {table[n][0]: p for p, n in enumerate(start)}
+    contracts = [world.chains[addr.chain].contracts[addr] for addr in slot]
+    where = [slot.get(ev.target) for ev in events]
+
     def finals_match(state: tuple) -> bool:
-        return all(vars_ == final.get(addr) for addr, vars_, _, _ in state)
-
-    # Memoized states share every per-contract entry they have in common.
-    entries: dict = {}
-
-    def current_state() -> tuple:
-        return tuple(entries.setdefault(e, e) for e in world.state())
+        return all(table[n][1] == final.get(table[n][0]) for n in state)
 
     everything = (1 << len(events)) - 1
-    seen = set()
-    order: list = []
-
-    def search(state: tuple, placed: int, open_tx) -> bool:
-        if placed == everything:
-            return finals_match(state)
-        key = (state, placed, open_tx)
-        if key in seen:
-            return False
-        seen.add(key)
-        for i, ev in enumerate(events):
-            bit = 1 << i
-            if placed & bit or need[i] & ~placed or \
-                    open_tx not in (None, ev.txid):
+    seen = {(start, 0, None)}
+    order: list = []                # the event that entered each frame
+    # Frames of (state, placed mask, open txid, events still to try).
+    stack = [(start, 0, None, everything)]
+    at = start                      # the state the replay world is in
+    found = not events and finals_match(start)
+    while stack and not found:
+        state, placed, open_tx, rest = stack[-1]
+        unplaced = everything ^ placed
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            i = bit.bit_length() - 1
+            if need[i] & unplaced:
                 continue
-            world.restore(state)
+            ev = events[i]
+            if at is not state:
+                world.restore([table[n] for n, m in zip(state, at) if n != m])
+                at = state
+            # A refused or failed step leaves the world where it was.
             if not _replay_one(world, ev):
                 continue
+            # Only the target changed: lock and unlock write nothing else,
+            # and Chain.invoke refuses writes outside a library method's
+            # own contract.
+            p = where[i]
+            at = state[:p] + (intern(contract_entry(contracts[p])),) \
+                + state[p + 1:]
             now = placed | bit
+            if now == everything:
+                if finals_match(at):
+                    order.append(ev.index)
+                    found = True
+                    break
+                continue
+            child_open = ev.txid if block.get(ev.txid, 0) & ~now else None
+            key = (at, now, child_open)
+            if key in seen:
+                continue
+            seen.add(key)
+            stack[-1] = (state, placed, open_tx, rest)
+            stack.append((at, now, child_open, ~now & (
+                everything if child_open is None else block[child_open])))
             order.append(ev.index)
-            if search(current_state(), now,
-                      ev.txid if block.get(ev.txid, 0) & ~now else None):
-                return True
-            order.pop()
-        return False
+            break
+        else:
+            stack.pop()
+            if stack:
+                order.pop()
 
-    if search(current_state(), 0, None):
-        return Verdict(True, [], witness=list(order))
+    if found:
+        return Verdict(True, [], witness=order)
     return Verdict(False, [Violation(
         SERIALIZABILITY, sorted(ev.index for ev in events),
         "no serial ordering of the mutating events reproduces the final "

@@ -183,6 +183,34 @@ def test_budget_exceeded_raises():
     assert check_strict_serializability(trace, txns, budget=20).passed
 
 
+def _deep_trace():
+    """1200 writes by one actor to one counter, 10 per tick."""
+    world = World(seed=0)
+    world.add_chain("a")
+    world.add_contract("a", "reg", "counter")
+    caller, reg = Address("a", "eve"), Address("a", "reg")
+    for n in range(1200):
+        world.add_injection(Injection(tick=n // 10, op="invoke", chain="a",
+                                      caller=caller, target=reg,
+                                      method="incr", params=[1]))
+    return world.run()
+
+
+def test_deep_trace_returns_a_verdict():
+    # the search holds one frame per placed event, so a trace deeper than
+    # the interpreter's recursion limit must still be checked
+    trace = _deep_trace()
+    verdict = check_strict_serializability(trace, [], budget=10**6)
+    assert verdict.passed
+    assert len(verdict.witness) == 1200
+    assert verdict.witness == sorted(verdict.witness)
+
+    trace.final = [ContractSnapshot(s.chain, s.local, s.kind, s.owner,
+                                    s.trusted, {"count": 1199})
+                   for s in trace.final]
+    assert not check_strict_serializability(trace, [], budget=10**6).passed
+
+
 def test_fixture_final_state_mismatch_fails():
     _, trace, txns = run_bundled("swap", seed=5)
     doctored = []
