@@ -129,6 +129,7 @@ class Adapter:
         future = Future(seq=self.next_seq, kind=kind)
         self.next_seq += 1
         self.futures[future.seq] = future
+        self.world.pending_futures += 1
         self._future_event(future)
         return future
 
@@ -143,6 +144,7 @@ class Adapter:
                 {"what": "UnknownAckSeq", "adapter": self.addr,
                  "seq": ack.seq}))
             return
+        self.world.pending_futures -= 1
         if future.kind == "anotify":
             future.state = DELIVERED
             future.ok = True

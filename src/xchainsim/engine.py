@@ -78,6 +78,7 @@ class World:
         self.machines: list = []
         self.kicks: list = []
         self.future_owner: dict = {}
+        self.pending_futures = 0          # issued by any adapter, not resolved
         self.resolutions: list = []
         self.clock = 0
         self._msg_counter = 0
@@ -312,10 +313,7 @@ class World:
                 return False
         if any(not m.done for m in self.machines):
             return False
-        for adapter in self.adapters.values():
-            if any(not f.terminal for f in adapter.futures.values()):
-                return False
-        return True
+        return self.pending_futures == 0
 
     # Adversary ------------------------------------------------------------
 

@@ -101,6 +101,50 @@ def test_seal_skew_still_commits():
         {"bal:x": 8, "bal:y": 1}
 
 
+def mesh(k: int) -> dict:
+    """k fully bridged reordering chains, paired off; both chains of a
+    pair propose a swap with each other at tick 0, so several bridges
+    deliver in the same tick, some of them several messages at once."""
+    chains = ["m%d" % i for i in range(k)]
+
+    def swap(i: int, j: int) -> dict:
+        return {"txid": "s%d" % i, "proposer": chains[i], "tick": 0,
+                "originator": "alice", "actions": [
+                    {"chain": c, "target": "token", "method": "transfer",
+                     "params": [src, dst, i + 1]}
+                    for c, src, dst in ((chains[i], "alice", "bob"),
+                                        (chains[j], "bob", "alice"))]}
+
+    return {"name": "mesh%d-reorder" % k,
+            "chains": [{"id": c, "contracts": [
+                {"local": "token", "kind": "token", "owner": "alice",
+                 "init": {"alice": 100, "bob": 100}}]} for c in chains],
+            "bridges": [{"src": a, "dst": b, "max_delay": 3,
+                         "reorder": True}
+                        for a in chains for b in chains if a != b],
+            "transactions": [swap(i, i ^ 1) for i in range(k)]}
+
+
+def test_pending_future_count_matches_a_scan():
+    # quiescence reads the world's count of unresolved futures; it must
+    # agree with a scan of every adapter's futures at every tick
+    scenario = parse_scenario(mesh(6))
+    world = build_world(scenario, seed=0)
+    quiescent, counts = world.quiescent, []
+
+    def checked() -> bool:
+        scan = sum(not f.terminal for adapter in world.adapters.values()
+                   for f in adapter.futures.values())
+        assert world.pending_futures == scan, world.clock
+        counts.append(scan)
+        return quiescent()
+
+    world.quiescent = checked
+    world.run(scenario.stop)
+    assert world.quiesced and len(counts) == world.end_tick + 1
+    assert max(counts) > 0 and counts[-1] == 0
+
+
 def _adversarial_world() -> World:
     """Two chains, honest left>right, adversarial right>left, no traffic."""
     world = World(seed=5)

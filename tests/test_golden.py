@@ -19,34 +19,10 @@ from xchainsim import (Address, Injection, MissingOutcomeError, build_world,
                        check_strict_serializability, load_scenario,
                        parse_scenario)
 
-from test_engine import SKEWED
+from test_engine import SKEWED, mesh
 
 GOLDEN = Path(__file__).parent / "golden"
 SEEDS = (0, 1, 2)
-
-
-def _mesh(k: int) -> dict:
-    """k fully bridged reordering chains, paired off; both chains of a
-    pair propose a swap with each other at tick 0, so several bridges
-    deliver in the same tick, some of them several messages at once."""
-    chains = ["m%d" % i for i in range(k)]
-
-    def swap(i: int, j: int) -> dict:
-        return {"txid": "s%d" % i, "proposer": chains[i], "tick": 0,
-                "originator": "alice", "actions": [
-                    {"chain": c, "target": "token", "method": "transfer",
-                     "params": [src, dst, i + 1]}
-                    for c, src, dst in ((chains[i], "alice", "bob"),
-                                        (chains[j], "bob", "alice"))]}
-
-    return {"name": "mesh%d-reorder" % k,
-            "chains": [{"id": c, "contracts": [
-                {"local": "token", "kind": "token", "owner": "alice",
-                 "init": {"alice": 100, "bob": 100}}]} for c in chains],
-            "bridges": [{"src": a, "dst": b, "max_delay": 3,
-                         "reorder": True}
-                        for a in chains for b in chains if a != b],
-            "transactions": [swap(i, i ^ 1) for i in range(k)]}
 
 
 def eve(world) -> list:
@@ -99,7 +75,7 @@ BACKTRACK = {
          "target": "reg", "method": "set", "params": [2]}],
 }
 
-INLINE = {"skewed": SKEWED, "mesh6-reorder": _mesh(6),
+INLINE = {"skewed": SKEWED, "mesh6-reorder": mesh(6),
           "backtrack": BACKTRACK}
 EVE = ("swap-lockfail", "three-exchange")
 
