@@ -11,14 +11,14 @@ import time
 
 import pytest
 
-from xchainsim import (Address, Injection, build_world,
-                       check_all_or_nothing, check_secure_transfer,
-                       check_strict_serializability, extract_metrics,
-                       load_scenario)
+from xchainsim import (build_world, check_all_or_nothing,
+                       check_secure_transfer, check_strict_serializability,
+                       extract_metrics, load_scenario)
 from xchainsim.trace import SEND, ContractSnapshot
 from xchainsim.verify import LIVENESS, SAFETY
 
 import test_chain
+from test_golden import eve
 
 HONEST_SCENARIOS = ("swap", "swap-lockfail", "swap-updatefail",
                     "three-exchange", "symmetric-conflict")
@@ -41,26 +41,6 @@ def _run(name, seed, lock_order=None, injections=()):
     trace = world.run(scenario.stop)
     txns = [world.transactions[txid] for _, txid in world.tx_schedule]
     return world, trace, txns
-
-
-def _interference(world):
-    """Out-of-scope counter bumps plus guarded-method and foreign-lock
-    attempts by a penniless account, one set per chain."""
-    out = []
-    for chain_id in sorted(world.chains):
-        eve = Address(chain_id, "eve")
-        token = Address(chain_id, "token")
-        out.append(Injection(tick=2, op="invoke", chain=chain_id,
-                             caller=eve, target=Address(chain_id, "side"),
-                             method="incr", params=[1]))
-        if world.chains[chain_id].contract(token) is not None:
-            out.append(Injection(tick=4, op="invoke", chain=chain_id,
-                                 caller=eve, target=token,
-                                 method="transfer",
-                                 params=[b"eve", b"bob", 1]))
-            out.append(Injection(tick=4, op="lock", chain=chain_id,
-                                 caller=eve, target=token))
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +69,7 @@ def interference_sweep():
         for seed in range(SEEDS_PER_SCENARIO):
             scenario = load_scenario(name)
             world = build_world(scenario, seed=seed)
-            for injection in _interference(world):
+            for injection in eve(world):
                 world.add_injection(injection)
             trace = world.run(scenario.stop)
             txns = [world.transactions[txid]

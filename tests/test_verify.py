@@ -13,36 +13,21 @@ from xchainsim.trace import INVOKE, LOCK, OUTCOME, UNLOCK, ContractSnapshot
 from xchainsim.verify import (ALL_OR_NOTHING, EXACTLY_ONCE, LIVENESS, SAFETY,
                               SERIALIZABILITY)
 
-from test_golden import CASES, run
+from test_golden import CASES, eve, run
 
 
 def run_bundled(name, seed=0, injections=(), lock_order=None):
+    """Run a bundled scenario; `injections` is a list, or a function of
+    the built world that returns one, such as eve."""
     scenario = load_scenario(name)
     world = build_world(scenario, seed=seed, lock_order=lock_order)
+    if callable(injections):
+        injections = injections(world)
     for injection in injections:
         world.add_injection(injection)
     trace = world.run(scenario.stop)
     txns = [world.transactions[txid] for _, txid in world.tx_schedule]
     return world, trace, txns
-
-
-def interference(chains):
-    """Standard adversary noise: an out-of-scope counter bump per chain
-    plus a guarded-method attempt by a penniless account (fails whether
-    or not the token is locked at that tick)."""
-    out = []
-    for chain_id in chains:
-        eve = Address(chain_id, "eve")
-        out.append(Injection(tick=2, op="invoke", chain=chain_id, caller=eve,
-                             target=Address(chain_id, "side"),
-                             method="incr", params=[1]))
-        out.append(Injection(tick=4, op="invoke", chain=chain_id, caller=eve,
-                             target=Address(chain_id, "token"),
-                             method="transfer",
-                             params=[b"eve", b"bob", 1]))
-        out.append(Injection(tick=4, op="lock", chain=chain_id, caller=eve,
-                             target=Address(chain_id, "token")))
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -165,7 +150,7 @@ def test_serial_trace_gets_identity_witness():
 
 def test_witness_found_under_interference():
     world, trace, txns = run_bundled(
-        "swap", seed=7, injections=interference(("fantom", "mumbai")))
+        "swap", seed=7, injections=eve)
     assert world.machines[0].outcome == "Committed"
     verdict = check_strict_serializability(trace, txns)
     assert verdict.passed, verdict.violations
@@ -311,7 +296,7 @@ def test_serializability_replay_keeps_no_records(monkeypatch):
 
     monkeypatch.setattr(verify, "build_replay_world", build)
     _, trace, txns = run_bundled(
-        "swap", seed=7, injections=interference(("fantom", "mumbai")))
+        "swap", seed=7, injections=eve)
     assert check_strict_serializability(trace, txns).passed
     (world,) = worlds
     assert world.trace.events == []
