@@ -13,16 +13,17 @@ Replay uses one world rebuilt from the initial snapshot.  The search
 gives every mutating event one bit and a need mask, the events that
 program, layer, actor and real-time order put before it; its progress is
 one mask of placed events plus the open transaction.  It replays each
-event through the chain's own lock, unlock and invoke, and a step costs
-one contract, not the world: a state is one interned number per
-contract_entry() (World.state() order), the world remembers which state
-it is in and World.restore() writes back only the entries that differ,
-and after a replay only the target's entry is rebuilt, because lock and
-unlock write only their target and Chain.invoke refuses a library
-method's write outside its own contract.  The memo key is the tuple of
-entry numbers, the placed mask and the open transaction.  The search
-runs on an explicit stack of frames, one per placed event, so a trace of
-any depth is checked without recursion.
+event through the chain's own lock, unlock and invoke.
+
+A search step costs one contract, not the whole world.  A state is one
+interned number per contract_entry(), in World.state() order.  The
+search remembers which state the replay world is in, and World.restore()
+writes back only the entries that differ.  After a replay only the
+target's entry is rebuilt: lock and unlock write only their target, and
+Chain.invoke refuses a library method's write outside its own contract.
+The memo key is the tuple of entry numbers, the placed mask and the open
+transaction.  The search keeps an explicit stack with one frame per
+placed event, so a trace of any depth is checked without recursion.
 """
 
 from __future__ import annotations
@@ -419,9 +420,7 @@ def check_strict_serializability(trace: Trace, transactions: list,
             # A refused or failed step leaves the world where it was.
             if not _replay_one(world, ev):
                 continue
-            # Only the target changed: lock and unlock write nothing else,
-            # and Chain.invoke refuses writes outside a library method's
-            # own contract.
+            # Only the target's entry can have changed (module docstring).
             p = where[i]
             at = state[:p] + (intern(contract_entry(contracts[p])),) \
                 + state[p + 1:]
