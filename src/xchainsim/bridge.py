@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .chain import Address, ScenarioError
+from .trace import canon, memoized
 
 HONEST = "honest"
 ADVERSARIAL = "adversarial"
@@ -30,7 +31,17 @@ class BridgeId:
     tag: int = 0
 
     def canon(self) -> str:
+        return self._text
+
+    @memoized
+    def _text(self) -> str:
         return "%s>%s#%d" % (self.src, self.dst, self.tag)
+
+
+# Bridge payloads.  A payload is recorded in the trace at its send and at
+# its receive, and is never mutated afterwards: the classes are frozen,
+# each computes its canonical text once per object, and Bridge.corrupt
+# replaces a message's payload object instead of editing it.
 
 
 @dataclass(frozen=True)
@@ -41,6 +52,10 @@ class Anotify:
     dest: Address             # final destination contract
 
     def canon(self) -> str:
+        return self._text
+
+    @memoized
+    def _text(self) -> str:
         seq = "-" if self.seq is None else "i%d" % self.seq
         return ("anotify(origin=%s,data=x%s,seq=%s,dest=%s)"
                 % (self.origin.canon(), self.data.hex(), seq,
@@ -55,7 +70,10 @@ class Rcall:
     seq: int
 
     def canon(self) -> str:
-        from .trace import canon
+        return self._text
+
+    @memoized
+    def _text(self) -> str:
         return ("rcall(target=%s,method=%s,params=%s,seq=i%d)"
                 % (self.target.canon(), self.method,
                    canon(list(self.params)), self.seq))
@@ -68,7 +86,10 @@ class Ack:
     result: object = None
 
     def canon(self) -> str:
-        from .trace import canon
+        return self._text
+
+    @memoized
+    def _text(self) -> str:
         result = "-" if self.result is None else canon(self.result)
         return ("ack(seq=i%d,ok=%s,result=%s)"
                 % (self.seq, "b1" if self.ok else "b0", result))

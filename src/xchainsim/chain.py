@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .trace import INVOKE, LOCK, UNLOCK, SEAL, Trace, TraceEvent
+from .trace import INVOKE, LOCK, UNLOCK, SEAL, Trace, TraceEvent, memoized
 
 Value = object  # int | bool | bytes
 
@@ -42,10 +42,16 @@ class MethodFailure(Exception):
 
 @dataclass(frozen=True, order=True)
 class Address:
+    """A contract's address.  Frozen, so its canonical text is computed
+    once per object (see the trace module docstring)."""
     chain: str
     local: str
 
     def canon(self) -> str:
+        return self._text
+
+    @memoized
+    def _text(self) -> str:
         return "%s/%s" % (self.chain, self.local)
 
     @staticmethod

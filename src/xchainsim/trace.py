@@ -5,11 +5,19 @@ before the first tick, the ordered event list, and a snapshot after the
 last tick.  The text rendering is canonical (fixed field order, typed
 value encoding) so that two runs with the same scenario and seed produce
 byte-identical files.
+
+A value recorded in an event is never mutated afterwards.  Addresses,
+bridge ids and bridge payloads are frozen and compute their canonical
+text once per object; an adversarial corruption replaces the message's
+payload object instead of editing it.  So the text of a recorded value
+never changes, and a checker may treat the very same object as the
+same text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import Any, Optional
 
 # Event kinds.
@@ -43,6 +51,53 @@ _FIELD_ORDER = {
 }
 
 
+class memoized:
+    """A method read as an attribute and computed once per object: the
+    first read stores the value on the instance, where later reads find
+    it before this descriptor.  For frozen objects only (module docstring).
+    functools.cached_property does the same but, before Python 3.12,
+    takes a lock on every first read, which made the first read of an
+    address six times dearer than formatting its text again."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
+def _canon_bool(value: bool) -> str:
+    return "b1" if value else "b0"
+
+
+def _canon_int(value: int) -> str:
+    return "i%d" % value
+
+
+def _canon_bytes(value: bytes) -> str:
+    return "x" + value.hex()
+
+
+def _canon_str(value: str) -> str:
+    return value
+
+
+def _canon_seq(value) -> str:
+    return "[" + ",".join(map(canon, value)) + "]"
+
+
+# Renderer per exact type.  A class with its own canon method joins the
+# table the first time canon meets it; subclasses of the built-in types
+# and everything else go through _canon_fallback.
+_CANON = {bool: _canon_bool, int: _canon_int, bytes: _canon_bytes,
+          str: _canon_str, list: _canon_seq, tuple: _canon_seq}
+
+
 def canon(value: Any) -> str:
     """Canonical text for a detail value.
 
@@ -50,21 +105,32 @@ def canon(value: Any) -> str:
     type prefix so that heterogeneous parameter lists stay unambiguous.
     Plain identifier strings (method names, reasons, ids) pass through.
     """
+    render = _CANON.get(type(value))
+    if render is None:
+        return _canon_fallback(value)
+    return render(value)
+
+
+def _canon_fallback(value: Any) -> str:
     if isinstance(value, bool):
-        return "b1" if value else "b0"
+        return _canon_bool(value)
     if isinstance(value, int):
-        return "i%d" % value
+        return _canon_int(value)
     if isinstance(value, bytes):
-        return "x" + value.hex()
+        return _canon_bytes(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(canon(v) for v in value) + "]"
+        return _canon_seq(value)
     # Objects with their own canonical form (Address, BridgeId, payloads).
     c = getattr(value, "canon", None)
-    if c is not None:
-        return c() if callable(c) else c
-    raise TypeError("no canonical form for %r" % (value,))
+    if c is None:
+        raise TypeError("no canonical form for %r" % (value,))
+    if not callable(c):
+        return c
+    if callable(getattr(type(value), "canon", None)):
+        _CANON[type(value)] = methodcaller("canon")
+    return c()
 
 
 @dataclass
@@ -75,12 +141,14 @@ class TraceEvent:
     data: dict
 
     def render(self) -> str:
-        parts = ["tick=%d" % self.tick, "kind=%s" % self.kind]
+        parts = ["tick=%d kind=%s" % (self.tick, self.kind)]
         if self.chain is not None:
             parts.append("chain=%s" % self.chain)
+        get = self.data.get
         for key in _FIELD_ORDER[self.kind]:
-            if key in self.data and self.data[key] is not None:
-                parts.append("%s=%s" % (key, canon(self.data[key])))
+            value = get(key)
+            if value is not None:
+                parts.append(key + "=" + canon(value))
         return " ".join(parts)
 
 

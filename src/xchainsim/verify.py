@@ -28,6 +28,7 @@ placed event, so a trace of any depth is checked without recursion.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -112,12 +113,16 @@ def check_secure_transfer(trace: Trace) -> Verdict:
                 "delivery of message %d without a recorded send" % msg_id))
             continue
         send_index, send = sends[msg_id]
+        sent, got = send.data["payload"], event.data["payload"]
         if send.data["block"] != event.data["origin_block"]:
             violations.append(Violation(
                 SAFETY, [send_index, index],
                 "message %d claims origin block %d but was sealed in %d"
                 % (msg_id, event.data["origin_block"], send.data["block"])))
-        elif canon(send.data["payload"]) != canon(event.data["payload"]):
+        # The payload is compared by text, never by ==: Ack(0, True, True)
+        # == Ack(0, True, 1), but the two texts differ.  The very object
+        # the send recorded has the same text (trace module docstring).
+        elif sent is not got and canon(sent) != canon(got):
             violations.append(Violation(
                 SAFETY, [send_index, index],
                 "message %d payload altered in transit" % msg_id))
@@ -238,12 +243,23 @@ class _MutEvent:
     layer: Optional[int] = None
 
 
-def _extract_mutating(trace: Trace, transactions: list) -> list:
+def _extract_mutating(trace: Trace, transactions: list) -> tuple:
+    """The mutating events, and per transaction its propose and outcome
+    ticks (for the real-time order between non-overlapping
+    transactions), in one pass over the trace."""
     by_txid = {t.txid: t for t in transactions}
     plans = {t.txid: layer_partition(t) for t in transactions}
+    windows = {t.txid: [None, None] for t in transactions}
     events = []
     for index, event in enumerate(trace.events):
         data = event.data
+        window = windows.get(data.get("txid"))
+        if window is not None:
+            if event.kind == OUTCOME:
+                window[1] = event.tick
+            elif event.kind == INVOKE and window[0] is None \
+                    and data.get("method") == "propose":
+                window[0] = event.tick
         if event.kind == INVOKE:
             if not data.get("writes"):
                 continue
@@ -273,23 +289,7 @@ def _extract_mutating(trace: Trace, transactions: list) -> list:
         if ev.txid is None and ev.actor is None:
             ev.actor = ev.caller.canon()
         events.append(ev)
-    return events
-
-
-def _tx_windows(trace: Trace, transactions: list) -> dict:
-    """Propose and outcome ticks per transaction, for the real-time
-    ordering constraint between non-overlapping transactions."""
-    windows = {t.txid: [None, None] for t in transactions}
-    for event in trace.events:
-        window = windows.get(event.data.get("txid"))
-        if window is None:
-            continue
-        if event.kind == OUTCOME:
-            window[1] = event.tick
-        elif event.kind == INVOKE and event.data.get("method") == "propose" \
-                and window[0] is None:
-            window[0] = event.tick
-    return windows
+    return events, windows
 
 
 def _replay_one(world: World, ev: _MutEvent) -> bool:
@@ -330,7 +330,7 @@ def check_strict_serializability(trace: Trace, transactions: list,
     (2), and it is its own memo key.  Candidates are tried in bit order,
     depth first, from an explicit stack.
     """
-    events = _extract_mutating(trace, transactions)
+    events, windows = _extract_mutating(trace, transactions)
     if len(events) > budget:
         raise BudgetExceededError(
             "%d mutating events exceed the budget of %d"
@@ -351,13 +351,17 @@ def check_strict_serializability(trace: Trace, transactions: list,
         if ev.layer is not None:
             by_layer = layers.setdefault(ev.txid, {})
             by_layer[ev.layer] = by_layer.get(ev.layer, 0) | 1 << i
-    before = dict.fromkeys(rank, 0)
-    windows = _tx_windows(trace, transactions)
-    for a, (_, end_a) in windows.items():
-        for b, (start_b, _) in windows.items():
-            if a != b and end_a is not None and start_b is not None \
-                    and end_a < start_b:
-                before[b] |= block[a]
+    # Real time: a transaction needs every transaction whose outcome tick
+    # is strictly below its propose tick.  Sorted by outcome tick, those
+    # are a prefix, so one OR per prefix serves every transaction.
+    ended = sorted((end, txid) for txid, (_, end) in windows.items()
+                   if end is not None)
+    end_ticks = [end for end, _ in ended]
+    prefix = [0]
+    for _, txid in ended:
+        prefix.append(prefix[-1] | block[txid])
+    before = {txid: prefix[bisect_left(end_ticks, start)] & ~block[txid]
+              for txid, (start, _) in windows.items() if start is not None}
 
     need = []
     on_chain: dict = {}             # (group, chain) -> its events so far

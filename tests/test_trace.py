@@ -1,0 +1,95 @@
+"""Canonical text: `canon`'s type table renders every value of the trace's
+domain exactly as the plain isinstance chain it replaces, and the
+payload and address classes keep their text once computed."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from xchainsim import Address
+from xchainsim.bridge import Ack, Anotify, BridgeId, Rcall
+from xchainsim.trace import canon
+
+
+def reference_canon(value):
+    """The isinstance-chain canon, as written before the type table, with
+    the payload and address texts formatted afresh (REFERENCE_TEXT)."""
+    if isinstance(value, bool):
+        return "b1" if value else "b0"
+    if isinstance(value, int):
+        return "i%d" % value
+    if isinstance(value, bytes):
+        return "x" + value.hex()
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(reference_canon(v) for v in value) + "]"
+    if type(value) in REFERENCE_TEXT:
+        return REFERENCE_TEXT[type(value)](value)
+    c = getattr(value, "canon", None)
+    if c is not None:
+        return c() if callable(c) else c
+    raise TypeError("no canonical form for %r" % (value,))
+
+
+# The classes' canonical text, formatted from their fields on every call.
+REFERENCE_TEXT = {
+    Address: lambda a: "%s/%s" % (a.chain, a.local),
+    BridgeId: lambda b: "%s>%s#%d" % (b.src, b.dst, b.tag),
+    Anotify: lambda n: "anotify(origin=%s,data=x%s,seq=%s,dest=%s)" % (
+        reference_canon(n.origin), n.data.hex(),
+        "-" if n.seq is None else "i%d" % n.seq, reference_canon(n.dest)),
+    Rcall: lambda r: "rcall(target=%s,method=%s,params=%s,seq=i%d)" % (
+        reference_canon(r.target), r.method,
+        reference_canon(list(r.params)), r.seq),
+    Ack: lambda a: "ack(seq=i%d,ok=%s,result=%s)" % (
+        a.seq, "b1" if a.ok else "b0",
+        "-" if a.result is None else reference_canon(a.result)),
+}
+
+
+class Tick(int):
+    """An int subclass: canon must still render it as an int."""
+
+
+names = st.text(alphabet="abcxyz019:_-", min_size=1, max_size=6)
+addresses = st.builds(Address, names, names)
+scalars = st.one_of(
+    st.booleans(), st.integers(), st.binary(max_size=8), names,
+    st.integers().map(Tick), addresses,
+    st.builds(BridgeId, names, names, st.integers(0, 3)))
+params = st.lists(st.one_of(st.booleans(), st.integers(),
+                            st.binary(max_size=8), addresses), max_size=4)
+payloads = st.one_of(
+    st.builds(Anotify, addresses, st.binary(max_size=8),
+              st.none() | st.integers(0, 99), addresses),
+    st.builds(Rcall, addresses, names, params.map(tuple), st.integers(0, 99)),
+    st.builds(Ack, st.integers(0, 99), st.booleans(),
+              st.none() | st.booleans() | st.integers() | st.binary(max_size=4)))
+values = st.recursive(
+    st.one_of(scalars, payloads),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple),
+    max_leaves=8)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(values)
+def test_canon_matches_the_isinstance_chain(value):
+    assert canon(value) == reference_canon(value)
+    assert canon(value) == reference_canon(value)   # memoized text too
+
+
+@pytest.mark.parametrize("value", [None, 1.5, {"a": 1}, object()])
+def test_canon_refuses_values_outside_the_domain(value):
+    with pytest.raises(TypeError):
+        canon(value)
+    with pytest.raises(TypeError):
+        canon([1, value])
+
+
+def test_canon_type_prefixes_are_kept_apart():
+    assert canon(True) == "b1" and canon(1) == "i1"
+    assert canon(Tick(1)) == "i1"
+    assert canon((b"\x01", [False, "m"])) == "[x01,[b0,m]]"
+    assert canon(Ack(0, True, True)) != canon(Ack(0, True, 1))
+    assert Ack(0, True, True) == Ack(0, True, 1)

@@ -70,6 +70,46 @@ def test_secure_transfer_flags_corrupt_payload():
                for v in verdict.violations)
 
 
+def corrupt_first_ack(payload):
+    """Run adversary-drop at seed 5 without its drop, over an adversarial
+    return bridge, and replace the first acknowledgement (message 2, sent
+    at tick 3 as ack(seq=0, ok, result=True), delivered at tick 5) with
+    `payload` while it is in flight.  Returns the trace and the send and
+    recv events of that message."""
+    from xchainsim.bridge import ADVERSARIAL, BridgeId
+    scenario = load_scenario("adversary-drop")
+    for bridge in scenario.bridges:
+        bridge.mode = ADVERSARIAL
+    world = build_world(scenario, seed=5)
+    world.injections.clear()
+    world.add_injection(Injection(
+        tick=4, op="corrupt", bridge=BridgeId("mumbai", "fantom"),
+        msg_id=2, payload=payload))
+    trace = world.run(scenario.stop)
+    send, recv = (e for e in trace.events
+                  if e.kind in ("send", "recv") and e.data["msgid"] == 2)
+    return trace, send, recv
+
+
+def test_secure_transfer_compares_payload_text_not_value():
+    # ack(result=i1) == ack(result=b1) as values, but not as text.
+    from xchainsim.bridge import Ack
+    trace, send, recv = corrupt_first_ack(Ack(seq=0, ok=True, result=1))
+    assert send.data["payload"] == Ack(seq=0, ok=True, result=True)
+    assert recv.data["payload"] == send.data["payload"]
+    verdict = check_secure_transfer(trace)
+    assert [v.prop for v in verdict.violations] == [SAFETY]
+    assert "altered" in verdict.violations[0].explanation
+
+
+def test_secure_transfer_accepts_an_equal_copy_of_the_payload():
+    # A distinct object with the same text is not an alteration.
+    from xchainsim.bridge import Ack
+    trace, send, recv = corrupt_first_ack(Ack(seq=0, ok=True, result=True))
+    assert recv.data["payload"] is not send.data["payload"]
+    assert check_secure_transfer(trace).passed
+
+
 def test_secure_transfer_flags_duplicate_delivery():
     world, trace, _ = run_bundled("swap", seed=5)
     recv = next(e for e in trace.events if e.kind == "recv")
