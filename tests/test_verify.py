@@ -9,6 +9,7 @@ from xchainsim import (Address, BudgetExceededError, Injection,
                        check_strict_serializability, extract_metrics,
                        load_scenario, parse_scenario)
 from xchainsim import layer_partition, verify
+from xchainsim.bridge import ADVERSARIAL, Ack, BridgeId
 from xchainsim.trace import INVOKE, LOCK, OUTCOME, UNLOCK, ContractSnapshot
 from xchainsim.verify import (ALL_OR_NOTHING, EXACTLY_ONCE, LIVENESS, SAFETY,
                               SERIALIZABILITY)
@@ -76,7 +77,6 @@ def corrupt_first_ack(payload):
     at tick 3 as ack(seq=0, ok, result=True), delivered at tick 5) with
     `payload` while it is in flight.  Returns the trace and the send and
     recv events of that message."""
-    from xchainsim.bridge import ADVERSARIAL, BridgeId
     scenario = load_scenario("adversary-drop")
     for bridge in scenario.bridges:
         bridge.mode = ADVERSARIAL
@@ -93,7 +93,6 @@ def corrupt_first_ack(payload):
 
 def test_secure_transfer_compares_payload_text_not_value():
     # ack(result=i1) == ack(result=b1) as values, but not as text.
-    from xchainsim.bridge import Ack
     trace, send, recv = corrupt_first_ack(Ack(seq=0, ok=True, result=1))
     assert send.data["payload"] == Ack(seq=0, ok=True, result=True)
     assert recv.data["payload"] == send.data["payload"]
@@ -104,7 +103,6 @@ def test_secure_transfer_compares_payload_text_not_value():
 
 def test_secure_transfer_accepts_an_equal_copy_of_the_payload():
     # A distinct object with the same text is not an alteration.
-    from xchainsim.bridge import Ack
     trace, send, recv = corrupt_first_ack(Ack(seq=0, ok=True, result=True))
     assert recv.data["payload"] is not send.data["payload"]
     assert check_secure_transfer(trace).passed
