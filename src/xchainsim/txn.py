@@ -78,12 +78,6 @@ class CrossChainTransaction:
 class LayerPlan:
     layers: list              # of list of action ids, each sorted ascending
 
-    def layer_of(self, action_id: int) -> int:
-        for i, layer in enumerate(self.layers):
-            if action_id in layer:
-                return i
-        raise KeyError(action_id)
-
 
 def layer_partition(txn: CrossChainTransaction) -> LayerPlan:
     """Deterministic longest-path layering of the action DAG.

@@ -16,14 +16,21 @@ one mask of placed events plus the open transaction.  It replays each
 event through the chain's own lock, unlock and invoke.
 
 A search step costs one contract, not the whole world.  A state is one
-interned number per contract_entry(), in World.state() order.  The
-search remembers which state the replay world is in, and World.restore()
-writes back only the entries that differ.  After a replay only the
-target's entry is rebuilt: lock and unlock write only their target, and
-Chain.invoke refuses a library method's write outside its own contract.
-The memo key is the tuple of entry numbers, the placed mask and the open
-transaction.  The search keeps an explicit stack with one frame per
-placed event, so a trace of any depth is checked without recursion.
+interned number per contract_entry(), in World.state() order.  A step's
+result depends only on the event and its target's entry: lock and
+unlock read and write only their target, library method bodies are pure
+functions of the target's vars, the params and the caller, and
+Chain.invoke refuses a write outside the target's own contract.  So the
+search keeps one table from (event, target entry number) to the
+target's entry number after the step, or None when the step is refused
+or fails.  A step seen before is a dict lookup and needs no world.  Only
+before a step not seen yet does World.restore() bring the replay world
+to the frame's state, writing back only the entries that differ from
+the state the search remembers the world is in; after the replay only
+the target's entry is rebuilt.  The memo key of a search state is the
+tuple of entry numbers, the placed mask and the open transaction.  The
+search keeps an explicit stack with one frame per placed event, so a
+trace of any depth is checked without recursion.
 """
 
 from __future__ import annotations
@@ -243,30 +250,56 @@ class _MutEvent:
     layer: Optional[int] = None
 
 
+def _actions_by_layer(txn) -> list:
+    """A transaction's actions as (target, method, params, layer), in the
+    order their invokes reach the trace: layer by layer, since a round
+    starts only after the one before it completes."""
+    plan = layer_partition(txn)
+    return [(a.target, a.method, tuple(a.params), layer)
+            for layer, ids in enumerate(plan.layers)
+            for a in map(txn.action, ids)]
+
+
+def _match_action(unmatched: list, data: dict) -> Optional[int]:
+    """The layer of the first unmatched action an invoke runs, which it
+    then consumes; None for an invoke that runs no action, such as the
+    executor's own.  Matching one to one, writing or not, gives a
+    repeated action the layer of its own run, not of the first."""
+    for n, (target, method, params, layer) in enumerate(unmatched):
+        if (target, method, params) == \
+                (data["target"], data["method"], tuple(data["params"])):
+            del unmatched[n]
+            return layer
+    return None
+
+
 def _extract_mutating(trace: Trace, transactions: list) -> tuple:
-    """The mutating events, and per transaction its propose and outcome
-    ticks (for the real-time order between non-overlapping
-    transactions), in one pass over the trace."""
+    """The mutating events, each action invoke with the layer of the
+    action it runs, and per transaction its propose and outcome ticks
+    (for the real-time order between non-overlapping transactions), in
+    one pass over the trace."""
     by_txid = {t.txid: t for t in transactions}
-    plans = {t.txid: layer_partition(t) for t in transactions}
+    unmatched = {t.txid: _actions_by_layer(t) for t in transactions}
     windows = {t.txid: [None, None] for t in transactions}
     events = []
     for index, event in enumerate(trace.events):
         data = event.data
         window = windows.get(data.get("txid"))
+        layer = None
         if window is not None:
             if event.kind == OUTCOME:
                 window[1] = event.tick
-            elif event.kind == INVOKE and window[0] is None \
-                    and data.get("method") == "propose":
-                window[0] = event.tick
+            elif event.kind == INVOKE:
+                if window[0] is None and data.get("method") == "propose":
+                    window[0] = event.tick
+                layer = _match_action(unmatched[data["txid"]], data)
         if event.kind == INVOKE:
             if not data.get("writes"):
                 continue
             ev = _MutEvent(index, event.chain, "invoke", data["caller"],
                            data["target"], data["method"],
                            tuple(data["params"]), False,
-                           data.get("txid"), data.get("actor"))
+                           data.get("txid"), data.get("actor"), layer)
         elif event.kind == LOCK and data["ok"]:
             ev = _MutEvent(index, event.chain, "lock", data["caller"],
                            data["target"], None, (), False,
@@ -277,13 +310,6 @@ def _extract_mutating(trace: Trace, transactions: list) -> tuple:
                            data.get("txid"), None)
         else:
             continue
-        txn = by_txid.get(ev.txid)
-        if txn is not None and ev.kind == "invoke":
-            for action in txn.actions:
-                if (action.target == ev.target and action.method == ev.method
-                        and tuple(action.params) == ev.params):
-                    ev.layer = plans[txn.txid].layer_of(action.action_id)
-                    break
         if ev.txid is not None and ev.txid not in by_txid:
             ev.txid, ev.actor = None, ev.txid
         if ev.txid is None and ev.actor is None:
@@ -329,6 +355,11 @@ def check_strict_serializability(trace: Trace, transactions: list,
     the replay state, the mask of placed events and the open transaction
     (2), and it is its own memo key.  Candidates are tried in bit order,
     depth first, from an explicit stack.
+
+    A step is keyed by its event and its target's entry, on which alone
+    its result depends (module docstring).  The first time a key is
+    met, the replay world is restored to the frame's state and the event
+    replayed; every later step with that key is a dict lookup.
     """
     events, windows = _extract_mutating(trace, transactions)
     if len(events) > budget:
@@ -407,6 +438,9 @@ def check_strict_serializability(trace: Trace, transactions: list,
     # Frames of (state, placed mask, open txid, events still to try).
     stack = [(start, 0, None, everything)]
     at = start                      # the state the replay world is in
+    # (event, target entry) -> target entry after the step, None if the
+    # step is refused or fails (module docstring).
+    steps: dict = {}
     found = not events and finals_match(start)
     while stack and not found:
         state, placed, open_tx, rest = stack[-1]
@@ -418,30 +452,38 @@ def check_strict_serializability(trace: Trace, transactions: list,
             if need[i] & unplaced:
                 continue
             ev = events[i]
-            if at is not state:
-                world.restore([table[n] for n, m in zip(state, at) if n != m])
-                at = state
-            # A refused or failed step leaves the world where it was.
-            if not _replay_one(world, ev):
-                continue
-            # Only the target's entry can have changed (module docstring).
             p = where[i]
-            at = state[:p] + (intern(contract_entry(contracts[p])),) \
-                + state[p + 1:]
+            step = (i, None if p is None else state[p])
+            after = steps.get(step, steps)
+            missed = after is steps
+            if missed:
+                if at is not state:
+                    world.restore(
+                        [table[n] for n, m in zip(state, at) if n != m])
+                    at = state
+                # A refused or failed step leaves the world where it was;
+                # otherwise only the target's entry can have changed.
+                after = steps[step] = intern(contract_entry(contracts[p])) \
+                    if _replay_one(world, ev) else None
+            if after is None:
+                continue
+            child = state[:p] + (after,) + state[p + 1:]
+            if missed:
+                at = child
             now = placed | bit
             if now == everything:
-                if finals_match(at):
+                if finals_match(child):
                     order.append(ev.index)
                     found = True
                     break
                 continue
             child_open = ev.txid if block.get(ev.txid, 0) & ~now else None
-            key = (at, now, child_open)
+            key = (child, now, child_open)
             if key in seen:
                 continue
             seen.add(key)
             stack[-1] = (state, placed, open_tx, rest)
-            stack.append((at, now, child_open, ~now & (
+            stack.append((child, now, child_open, ~now & (
                 everything if child_open is None else block[child_open])))
             order.append(ev.index)
             break

@@ -1,6 +1,8 @@
 """Checker soundness: every checker passes its conforming runs and fails
 its hand-built violating fixtures with the right violation kind."""
 
+from itertools import permutations
+
 import pytest
 
 from xchainsim import (Address, BudgetExceededError, Injection,
@@ -374,19 +376,22 @@ def test_state_round_trip_keeps_lock_owner_and_empty_checkpoint():
     assert world.state() == unlocked
 
 
-def assert_valid_witness(trace, txns, witness):
-    """Check a serializability witness against the trace directly: a
-    permutation of the mutating events, one contiguous block per
-    transaction, per-chain and layer order inside a transaction, per-chain
-    order for each independent actor, real-time order between
-    transactions, and a replay that reaches the observed final vars."""
+def witness_rules(trace, txns):
+    """The rules a serializability witness keeps, read from the trace
+    directly: the mutating events in trace order, one block per
+    transaction that must stay contiguous, and (earlier, later, rule)
+    pairs for per-chain order inside each transaction and each
+    independent actor, layer order inside a transaction and real-time
+    order between transactions.
+
+    A transaction's action invokes, writing or not, are matched to its
+    actions one to one, in trace order, against the actions taken layer
+    by layer: a round starts only after the one before it completes, so
+    a repeated action gets the layer of its own run."""
     events = trace.events
     mutating = [i for i, e in enumerate(events)
                 if (e.kind == INVOKE and e.data.get("writes"))
                 or (e.kind in (LOCK, UNLOCK) and e.data["ok"])]
-    assert sorted(witness) == mutating
-    position = {index: pos for pos, index in enumerate(witness)}
-
     by_txid = {t.txid: t for t in txns}
     groups = {}          # txid, or (chain, actor) -> indices in trace order
     for index in mutating:
@@ -397,31 +402,30 @@ def assert_valid_witness(trace, txns, witness):
              txid or data.get("actor") or data["caller"].canon())
         groups.setdefault(key, []).append(index)
 
+    pairs = []
     for key, indices in groups.items():
-        spots = sorted(position[i] for i in indices)
-        for chain in {events[i].chain for i in indices}:
-            on_chain = [position[i] for i in indices
-                        if events[i].chain == chain]
-            assert on_chain == sorted(on_chain), (key, chain)
-        if key not in by_txid:
-            continue
-        assert spots == list(range(spots[0], spots[0] + len(spots))), key
-        plan = layer_partition(by_txid[key])
-        layers = []
-        for i in indices:
-            data = events[i].data
-            if events[i].kind != INVOKE:
+        for n, a in enumerate(indices):
+            pairs += [(a, b, (key, events[a].chain)) for b in indices[n + 1:]
+                      if events[b].chain == events[a].chain]
+
+    layer = {}           # action invoke index -> its action's layer
+    for txn in txns:
+        plan = layer_partition(txn)
+        unmatched = [(txn.action(i), n)
+                     for n, ids in enumerate(plan.layers) for i in ids]
+        for index, e in enumerate(events):
+            if e.kind != INVOKE or e.data.get("txid") != txn.txid:
                 continue
-            for action in by_txid[key].actions:
+            for n, (action, layer_no) in enumerate(unmatched):
                 if (action.target, action.method, tuple(action.params)) == \
-                        (data["target"], data["method"],
-                         tuple(data["params"])):
-                    layers.append((position[i],
-                                   plan.layer_of(action.action_id)))
+                        (e.data["target"], e.data["method"],
+                         tuple(e.data["params"])):
+                    layer[index] = layer_no
+                    del unmatched[n]
                     break
-        layers.sort()
-        assert [layer for _, layer in layers] == \
-            sorted(layer for _, layer in layers), key
+        own = [i for i in groups.get(txn.txid, ()) if i in layer]
+        pairs += [(a, b, (txn.txid, "layer")) for a in own for b in own
+                  if layer[a] < layer[b]]
 
     start, end = {}, {}
     for e in events:
@@ -432,12 +436,33 @@ def assert_valid_witness(trace, txns, witness):
     for a in groups:
         for b in groups:
             if a in end and b in start and end[a] < start[b]:
-                assert max(position[i] for i in groups[a]) < \
-                    min(position[i] for i in groups[b]), (a, b)
+                pairs += [(x, y, (a, b)) for x in groups[a] for y in groups[b]]
+    blocks = {key: indices for key, indices in groups.items()
+              if key in by_txid}
+    return mutating, blocks, pairs
 
+
+def broken_rule(blocks, pairs, order):
+    """The first rule of witness_rules that `order` breaks, or None."""
+    position = {index: pos for pos, index in enumerate(order)}
+    for txid, block in blocks.items():
+        spots = [position[i] for i in block]
+        if max(spots) - min(spots) != len(spots) - 1:
+            return (txid, "contiguous")
+    for a, b, rule in pairs:
+        if position[a] > position[b]:
+            return rule
+    return None
+
+
+def replay_order(trace, txns, order):
+    """Replay `order` through the chains of a world rebuilt from the
+    initial snapshot: the final vars it reaches, or the index of the
+    first event the chain refuses or fails."""
+    events = trace.events
     world = verify.build_replay_world(
         trace, extra_chains={a.chain for t in txns for a in t.actions})
-    for index in witness:
+    for index in order:
         e = events[index]
         chain = world.chains[e.chain]
         if e.kind == LOCK:
@@ -448,9 +473,29 @@ def assert_valid_witness(trace, txns, witness):
         else:
             outcome = chain.invoke(e.data["caller"], e.data["target"],
                                    e.data["method"], list(e.data["params"]))
-        assert outcome.ok, index
-    assert {(s.chain, s.local): s.vars for s in world.snapshot()} == \
-        trace.final_vars()
+        if not outcome.ok:
+            return index
+    return {(s.chain, s.local): s.vars for s in world.snapshot()}
+
+
+def assert_valid_witness(trace, txns, witness):
+    """Check a serializability witness against the trace directly: a
+    permutation of the mutating events that keeps every rule of
+    witness_rules and replays to the observed final vars."""
+    mutating, blocks, pairs = witness_rules(trace, txns)
+    assert sorted(witness) == mutating
+    assert broken_rule(blocks, pairs, witness) is None
+    assert replay_order(trace, txns, witness) == trace.final_vars()
+
+
+def brute_force_serializable(trace, txns) -> bool:
+    """Test oracle: try every order of the mutating events and accept one
+    that keeps the rules and replays to the observed final vars."""
+    mutating, blocks, pairs = witness_rules(trace, txns)
+    final = trace.final_vars()
+    return any(broken_rule(blocks, pairs, order) is None
+               and replay_order(trace, txns, order) == final
+               for order in permutations(mutating))
 
 
 @pytest.mark.parametrize(
@@ -461,6 +506,173 @@ def test_returned_witness_is_valid(case):
                                            budget=len(trace.events))
     if verdict.passed:
         assert_valid_witness(trace, txns, verdict.witness)
+
+
+def run_repeat(seed, prec):
+    """A transaction on swap's chains that runs one transfer twice, with
+    an increment between: actions 0 and 2 are equal, and `prec` orders
+    the three actions in a chain."""
+    transfer = {"chain": "fantom", "target": "token", "method": "transfer",
+                "params": ["alice", "bob", 1]}
+    raw = {
+        "name": "repeat",
+        "chains": [
+            {"id": "fantom", "contracts": [
+                {"local": "token", "kind": "token", "owner": "alice",
+                 "init": {"alice": 50, "bob": 10}},
+                {"local": "side", "kind": "counter", "owner": "alice",
+                 "init": {"count": 0}}]},
+            {"id": "mumbai", "contracts": [
+                {"local": "token", "kind": "token", "owner": "bob",
+                 "init": {"alice": 5, "bob": 40}}]}],
+        "bridges": [
+            {"src": "fantom", "dst": "mumbai", "max_delay": 3,
+             "reorder": True},
+            {"src": "mumbai", "dst": "fantom", "max_delay": 3,
+             "reorder": True}],
+        "transactions": [{
+            "txid": "repeat", "proposer": "fantom", "originator": "alice",
+            "tick": 0, "prec": prec, "actions": [
+                dict(transfer, id=0),
+                {"id": 1, "chain": "fantom", "target": "side",
+                 "method": "incr", "params": [1]},
+                dict(transfer, id=2)]}],
+    }
+    scenario = parse_scenario(raw)
+    world = build_world(scenario, seed=seed)
+    trace = world.run(scenario.stop)
+    assert world.machines[0].outcome == "Committed"
+    return trace, [world.transactions["repeat"]]
+
+
+@pytest.mark.parametrize("prec", [[[0, 1], [1, 2]], [[2, 1], [1, 0]]])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_repeated_action_serializes(seed, prec):
+    # each run of the repeated transfer takes the layer of its own action,
+    # not of the first equal one, so the layer order has no cycle
+    trace, txns = run_repeat(seed, prec)
+    assert check_secure_transfer(trace).passed
+    assert check_all_or_nothing(trace, txns).passed
+    verdict = check_strict_serializability(trace, txns)
+    assert verdict.passed, verdict.violations
+    assert_valid_witness(trace, txns, verdict.witness)
+
+
+def disjoint_swaps(count):
+    """`count` concurrent two-chain swaps on disjoint chain pairs, all
+    proposed at tick 0, with one final balance bumped by 1."""
+    chains, bridges, transactions = [], [], []
+    for n in range(count):
+        a, b = "a%d" % n, "b%d" % n
+        for chain in (a, b):
+            chains.append({"id": chain, "contracts": [
+                {"local": "token", "kind": "token",
+                 "init": {"alice": 10, "bob": 10}}]})
+        bridges += [{"src": a, "dst": b, "max_delay": 2},
+                    {"src": b, "dst": a, "max_delay": 2}]
+        transactions.append({"txid": "swap%d" % n, "proposer": a, "tick": 0,
+                             "actions": [
+                                 {"chain": a, "target": "token",
+                                  "method": "transfer",
+                                  "params": ["alice", "bob", 1]},
+                                 {"chain": b, "target": "token",
+                                  "method": "transfer",
+                                  "params": ["bob", "alice", 2]}]})
+    scenario = parse_scenario({"name": "disjoint", "chains": chains,
+                               "bridges": bridges,
+                               "transactions": transactions})
+    world = build_world(scenario, seed=0)
+    trace = world.run(scenario.stop)
+    doctor_balance(trace)
+    return trace, [world.transactions[txid] for _, txid in world.tx_schedule]
+
+
+def doctor_balance(trace):
+    """Bump the first token balance of the final snapshot by 1, money from
+    nowhere, so that no ordering reproduces the final state."""
+    for n, snap in enumerate(trace.final):
+        balances = sorted(k for k in snap.vars if k.startswith("bal:"))
+        if balances:
+            vars_ = dict(snap.vars)
+            vars_[balances[0]] += 1
+            trace.final[n] = ContractSnapshot(snap.chain, snap.local,
+                                              snap.kind, snap.owner,
+                                              snap.trusted, vars_)
+            return
+    raise AssertionError("no balance to doctor")
+
+
+def test_each_step_replays_once(monkeypatch):
+    # a step depends only on its event and its target's entry; with
+    # disjoint swaps each event meets one target entry, so the exhaustive
+    # search replays each event once
+    calls = []
+    original = verify._replay_one
+
+    def replay_one(world, ev):
+        calls.append(ev.index)
+        return original(world, ev)
+
+    monkeypatch.setattr(verify, "_replay_one", replay_one)
+    trace, txns = disjoint_swaps(3)
+    mutating, _, _ = witness_rules(trace, txns)
+    verdict = check_strict_serializability(trace, txns,
+                                           budget=len(mutating))
+    assert not verdict.passed
+    assert sorted(calls) == mutating
+
+
+def set_then_incr():
+    """zed sets a counter to 5, then amy increments it.  The final 6 needs
+    zed first, but the search tries amy first and backtracks, so it
+    tries amy's increment on two different counter entries."""
+    world = World(seed=0)
+    world.add_chain("a")
+    world.add_contract("a", "reg", "counter")
+    reg = Address("a", "reg")
+    world.add_injection(Injection(tick=1, op="invoke", chain="a",
+                                  caller=Address("a", "zed"), target=reg,
+                                  method="set", params=[5]))
+    world.add_injection(Injection(tick=2, op="invoke", chain="a",
+                                  caller=Address("a", "amy"), target=reg,
+                                  method="incr", params=[1]))
+    return world.run(), []
+
+
+def test_step_memo_keys_on_the_target_entry():
+    trace, txns = set_then_incr()
+    verdict = check_strict_serializability(trace, txns)
+    assert verdict.passed
+    assert_valid_witness(trace, txns, verdict.witness)
+
+
+def small_case(case):
+    name, seed = case.rsplit("@", 1)
+    if name == "repeat":
+        return run_repeat(int(seed), [[0, 1], [1, 2]])
+    if name == "set-then-incr":
+        return set_then_incr()
+    return run(case)
+
+
+# The golden cases with at most 8 mutating events, the repeated action
+# and the set before an increment; each golden and repeated-action case
+# also with a doctored final balance.
+SMALL = [(case, doctored)
+         for case in CASES + ["repeat@%d" % seed for seed in range(3)]
+         if case.rsplit("@", 1)[0] not in
+         ("mesh6-reorder", "three-exchange", "three-exchange+eve")
+         for doctored in (False, True)] + [("set-then-incr@0", False)]
+
+
+@pytest.mark.parametrize("case,doctored", SMALL)
+def test_search_agrees_with_brute_force(case, doctored):
+    trace, txns = small_case(case)
+    if doctored:
+        doctor_balance(trace)
+    # the budget is the oracle's limit: the search raises above it
+    verdict = check_strict_serializability(trace, txns, budget=8)
+    assert verdict.passed == brute_force_serializable(trace, txns)
 
 
 # --------------------------------------------------------------------------
