@@ -250,25 +250,26 @@ class _MutEvent:
     layer: Optional[int] = None
 
 
-def _actions_by_layer(txn) -> list:
-    """A transaction's actions as (target, method, params, layer), in the
-    order their invokes reach the trace: layer by layer, since a round
-    starts only after the one before it completes."""
-    plan = layer_partition(txn)
-    return [(a.target, a.method, tuple(a.params), layer)
-            for layer, ids in enumerate(plan.layers)
-            for a in map(txn.action, ids)]
+def _actions_by_method(txn) -> dict:
+    """A transaction's actions by method, as (target, params, layer) in
+    the order their invokes reach the trace: layer by layer, since a
+    round starts only after the one before it completes."""
+    runs: dict = {}
+    for layer, ids in enumerate(layer_partition(txn).layers):
+        for a in map(txn.action, ids):
+            runs.setdefault(a.method, []).append(
+                (a.target, tuple(a.params), layer))
+    return runs
 
 
-def _match_action(unmatched: list, data: dict) -> Optional[int]:
-    """The layer of the first unmatched action an invoke runs, which it
-    then consumes; None for an invoke that runs no action, such as the
-    executor's own.  Matching one to one, writing or not, gives a
-    repeated action the layer of its own run, not of the first."""
-    for n, (target, method, params, layer) in enumerate(unmatched):
-        if (target, method, params) == \
-                (data["target"], data["method"], tuple(data["params"])):
-            del unmatched[n]
+def _match_action(runs: list, data: dict) -> Optional[int]:
+    """The layer of the first unmatched action of the invoke's method
+    that it runs, which it then consumes; None if it runs none of them.
+    Matching one to one, writing or not, gives a repeated action the
+    layer of its own run, not of the first."""
+    for n, (target, params, layer) in enumerate(runs):
+        if target == data["target"] and params == tuple(data["params"]):
+            del runs[n]
             return layer
     return None
 
@@ -279,7 +280,7 @@ def _extract_mutating(trace: Trace, transactions: list) -> tuple:
     (for the real-time order between non-overlapping transactions), in
     one pass over the trace."""
     by_txid = {t.txid: t for t in transactions}
-    unmatched = {t.txid: _actions_by_layer(t) for t in transactions}
+    unmatched = {t.txid: _actions_by_method(t) for t in transactions}
     windows = {t.txid: [None, None] for t in transactions}
     events = []
     for index, event in enumerate(trace.events):
@@ -292,7 +293,9 @@ def _extract_mutating(trace: Trace, transactions: list) -> tuple:
             elif event.kind == INVOKE:
                 if window[0] is None and data.get("method") == "propose":
                     window[0] = event.tick
-                layer = _match_action(unmatched[data["txid"]], data)
+                runs = unmatched[data["txid"]].get(data["method"])
+                if runs:
+                    layer = _match_action(runs, data)
         if event.kind == INVOKE:
             if not data.get("writes"):
                 continue
