@@ -18,7 +18,7 @@ from .scenario import (Scenario, ValidationError, build_world,
                        bundled_scenarios, load_scenario, parse_scenario)
 from .trace import Trace, TraceEvent
 from .txn import (CrossChainTransaction, CyclicOrderError, IndexedAction,
-                  LayerPlan, ideal_execute, layer_partition, scope_union,
+                  ideal_execute, layer_partition, scope_union,
                   validate_transaction)
 from .verify import (BudgetExceededError, MetricsReport, MissingOutcomeError,
                      Verdict, Violation, check_all_or_nothing,

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .chain import Address, FatalScenarioError, MethodFailure
 from .trace import OUTCOME, TraceEvent
-from .txn import CrossChainTransaction, LayerPlan, layer_partition, scope_union
+from .txn import CrossChainTransaction, layer_partition, scope_union
 
 LOCKING = "locking"
 EXECUTING = "executing"
@@ -162,7 +162,7 @@ class ProposerMachine:
         self.world = world
         self.executor = executor
         self.txn = txn
-        self.plan: LayerPlan = layer_partition(txn)
+        self.layers = layer_partition(txn)
         if world.lock_order == "declared":
             self.chain_order = txn.chains_declared()
         else:
@@ -217,7 +217,7 @@ class ProposerMachine:
         while not self.awaiting:
             if self.phase == LOCKING:
                 if self.lock_index >= len(self.chain_order):
-                    if not self.plan.layers:   # vacuous transaction
+                    if not self.layers:   # vacuous transaction
                         self.phase = UNLOCKING
                         self.unlock_queue = list(reversed(self.contacted))
                         continue
@@ -242,7 +242,7 @@ class ProposerMachine:
                 # A round just completed.
                 if self.failure:
                     self._begin_abort(self.reason or OP_FAILED)
-                elif self.round_no + 1 < len(self.plan.layers):
+                elif self.round_no + 1 < len(self.layers):
                     self.round_no += 1
                     self._issue_round()
                 else:
@@ -264,7 +264,7 @@ class ProposerMachine:
 
     def _issue_round(self) -> None:
         self.rounds_run += 1
-        for action_id in self.plan.layers[self.round_no]:
+        for action_id in self.layers[self.round_no]:
             action = self.txn.action(action_id)
             params = [self.txn.txid.encode(), encode_address(action.target),
                       action.method.encode()] + list(action.params)

@@ -1,12 +1,12 @@
 """Cross-chain transactions: indexed actions under a partial order, the
-layer plan used for round scheduling, and the sequential reference
+layering used for round scheduling, and the sequential reference
 execution that the atomicity checkers compare protocol runs against.
 """
 
 from __future__ import annotations
 
 import graphlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .chain import Address, ScenarioError
@@ -74,13 +74,9 @@ class CrossChainTransaction:
         return seen
 
 
-@dataclass
-class LayerPlan:
-    layers: list              # of list of action ids, each sorted ascending
-
-
-def layer_partition(txn: CrossChainTransaction) -> LayerPlan:
-    """Deterministic longest-path layering of the action DAG.
+def layer_partition(txn: CrossChainTransaction) -> list:
+    """Deterministic longest-path layering of the action DAG: a list of
+    layers, each a list of action ids in ascending order.
 
     An action lands one layer past its latest predecessor, so actions
     with no constraints form layer 0 and the layer count equals the
@@ -100,7 +96,7 @@ def layer_partition(txn: CrossChainTransaction) -> LayerPlan:
         ready = sorted(sorter.get_ready())
         layers.append(ready)
         sorter.done(*ready)
-    return LayerPlan(layers)
+    return layers
 
 
 def scope_union(txn: CrossChainTransaction, world, chain_id: str) -> list:
@@ -119,11 +115,10 @@ def scope_union(txn: CrossChainTransaction, world, chain_id: str) -> list:
     return sorted(out)
 
 
-def validate_transaction(txn: CrossChainTransaction, world) -> LayerPlan:
+def validate_transaction(txn: CrossChainTransaction, world) -> None:
     """Scenario-level validation: references resolve and same-layer
     actions on one chain have disjoint scopes (which is what makes
     within-layer execution order irrelevant)."""
-    plan = layer_partition(txn)
     for action in txn.actions:
         chain = world.chains.get(action.chain)
         if chain is None:
@@ -139,7 +134,7 @@ def validate_transaction(txn: CrossChainTransaction, world) -> LayerPlan:
                                 "%s.%s" % (txn.txid, action.action_id,
                                            action.target.canon(),
                                            action.method))
-    for layer in plan.layers:
+    for layer in layer_partition(txn):
         per_chain: dict[str, set] = {}
         for action_id in layer:
             action = txn.action(action_id)
@@ -154,13 +149,11 @@ def validate_transaction(txn: CrossChainTransaction, world) -> LayerPlan:
                     % (txn.txid, action.chain,
                        ",".join(a.canon() for a in sorted(overlap))))
             seen |= scope
-    return plan
 
 
 @dataclass
 class IdealReport:
     ok: bool
-    results: list = field(default_factory=list)  # (action_id, ok, result/reason)
     failed_action: Optional[int] = None
     failure_reason: Optional[str] = None
 
@@ -179,23 +172,15 @@ def ideal_execute(txn: CrossChainTransaction, world) -> IdealReport:
             scoped[addr] = world.chains[chain_id].contract(addr)
     checkpoint = {addr: dict(c.vars) for addr, c in scoped.items()}
 
-    plan = layer_partition(txn)
-    report = IdealReport(True)
-    for layer in plan.layers:
+    for layer in layer_partition(txn):
         for action_id in layer:
             action = txn.action(action_id)
             chain = world.chains[action.chain]
             outcome = chain.invoke(chain.executor_addr, action.target,
                                    action.method, list(action.params),
                                    txid=txn.txid)
-            if outcome.ok:
-                report.results.append((action_id, True, outcome.result))
-                continue
-            report.ok = False
-            report.failed_action = action_id
-            report.failure_reason = outcome.reason
-            report.results.append((action_id, False, outcome.reason))
-            for addr, vars_ in checkpoint.items():
-                scoped[addr].vars = dict(vars_)
-            return report
-    return report
+            if not outcome.ok:
+                for addr, vars_ in checkpoint.items():
+                    scoped[addr].vars = dict(vars_)
+                return IdealReport(False, action_id, outcome.reason)
+    return IdealReport(True)

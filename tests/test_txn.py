@@ -28,13 +28,12 @@ def oracle_layer(action_id, prec):
 
 
 def test_no_constraints_single_layer():
-    plan = layer_partition(make_txn(3, []))
-    assert plan.layers == [[0, 1, 2]]
+    assert layer_partition(make_txn(3, [])) == [[0, 1, 2]]
 
 
 def test_chain_of_three_layers():
-    plan = layer_partition(make_txn(3, [(0, 1), (1, 2)]))
-    assert plan.layers == [[0], [1], [2]]
+    assert layer_partition(make_txn(3, [(0, 1), (1, 2)])) == \
+        [[0], [1], [2]]
 
 
 def test_diamond_layers_match_hand_computation():
@@ -42,8 +41,7 @@ def test_diamond_layers_match_hand_computation():
     prec = [(0, 1), (0, 2), (1, 3), (2, 3)]
     # hand Kahn traversal: wave0={a}, wave1={b,c}, wave2={d}
     assert [oracle_layer(i, prec) for i in range(4)] == [0, 1, 1, 2]
-    plan = layer_partition(make_txn(4, prec))
-    assert plan.layers == [[0], [1, 2], [3]]
+    assert layer_partition(make_txn(4, prec)) == [[0], [1, 2], [3]]
 
 
 def test_cycle_rejected():
@@ -66,9 +64,8 @@ def test_layering_sound_on_random_dags(n, data):
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True,
                                max_size=len(pairs)))
     txn = make_txn(n, edges)
-    plan = layer_partition(txn)
-    layer_of = {aid: k for k, layer in enumerate(plan.layers)
-                for aid in layer}
+    layers = layer_partition(txn)
+    layer_of = {aid: k for k, layer in enumerate(layers) for aid in layer}
     # soundness: precedence implies strictly increasing layers
     for before, after in edges:
         assert layer_of[before] < layer_of[after]
@@ -76,7 +73,7 @@ def test_layering_sound_on_random_dags(n, data):
     for aid in range(n):
         assert layer_of[aid] == oracle_layer(aid, edges)
     # partition: every action in exactly one layer
-    seen = sorted(aid for layer in plan.layers for aid in layer)
+    seen = sorted(aid for layer in layers for aid in layer)
     assert seen == list(range(n))
     # within-layer independence under transitive closure
     closure = set(edges)
@@ -87,7 +84,7 @@ def test_layering_sound_on_random_dags(n, data):
             if b == c and (a, d) not in closure:
                 closure.add((a, d))
                 changed = True
-    for layer in plan.layers:
+    for layer in layers:
         for a, b in itertools.combinations(layer, 2):
             assert (a, b) not in closure and (b, a) not in closure
 
@@ -171,7 +168,7 @@ def test_ideal_execute_empty_transaction_is_success(swap_world):
                                 Address("c1", "origin"), "c1")
     before = swap_world.state()
     report = ideal_execute(txn, swap_world)
-    assert report.ok and report.results == []
+    assert report.ok
     assert swap_world.state() == before
 
 

@@ -1,6 +1,7 @@
 """Checker soundness: every checker passes its conforming runs and fails
 its hand-built violating fixtures with the right violation kind."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -410,9 +411,9 @@ def witness_rules(trace, txns):
 
     layer = {}           # action invoke index -> its action's layer
     for txn in txns:
-        plan = layer_partition(txn)
         unmatched = [(txn.action(i), n)
-                     for n, ids in enumerate(plan.layers) for i in ids]
+                     for n, ids in enumerate(layer_partition(txn))
+                     for i in ids]
         for index, e in enumerate(events):
             if e.kind != INVOKE or e.data.get("txid") != txn.txid:
                 continue
@@ -548,8 +549,8 @@ def run_repeat(seed, prec):
 @pytest.mark.parametrize("prec", [[[0, 1], [1, 2]], [[2, 1], [1, 0]]])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_repeated_action_serializes(seed, prec):
-    # each run of the repeated transfer takes the layer of its own action,
-    # not of the first equal one, so the layer order has no cycle
+    # the two runs of the transfer are equal events; each keeps its own
+    # place in trace order, so the search needs no action matching
     trace, txns = run_repeat(seed, prec)
     assert check_secure_transfer(trace).passed
     assert check_all_or_nothing(trace, txns).passed
@@ -558,9 +559,11 @@ def test_repeated_action_serializes(seed, prec):
     assert_valid_witness(trace, txns, verdict.witness)
 
 
-def disjoint_swaps(count):
-    """`count` concurrent two-chain swaps on disjoint chain pairs, all
-    proposed at tick 0, with one final balance bumped by 1."""
+def disjoint_swaps(count, seed):
+    """The benchmark's conflict family: `count` concurrent two-chain swaps
+    on disjoint chain pairs over reordering bridges, all proposed at tick
+    0, with amounts drawn from `seed`, run at `seed`."""
+    rng = random.Random(seed)
     chains, bridges, transactions = [], [], []
     for n in range(count):
         a, b = "a%d" % n, "b%d" % n
@@ -568,23 +571,35 @@ def disjoint_swaps(count):
             chains.append({"id": chain, "contracts": [
                 {"local": "token", "kind": "token",
                  "init": {"alice": 10, "bob": 10}}]})
-        bridges += [{"src": a, "dst": b, "max_delay": 2},
-                    {"src": b, "dst": a, "max_delay": 2}]
+        bridges += [{"src": a, "dst": b, "max_delay": 3, "reorder": True},
+                    {"src": b, "dst": a, "max_delay": 3, "reorder": True}]
         transactions.append({"txid": "swap%d" % n, "proposer": a, "tick": 0,
                              "actions": [
                                  {"chain": a, "target": "token",
                                   "method": "transfer",
-                                  "params": ["alice", "bob", 1]},
+                                  "params": ["alice", "bob",
+                                             rng.randint(1, 9)]},
                                  {"chain": b, "target": "token",
                                   "method": "transfer",
-                                  "params": ["bob", "alice", 2]}]})
+                                  "params": ["bob", "alice",
+                                             rng.randint(1, 9)]}]})
     scenario = parse_scenario({"name": "disjoint", "chains": chains,
                                "bridges": bridges,
                                "transactions": transactions})
-    world = build_world(scenario, seed=0)
+    world = build_world(scenario, seed=seed)
     trace = world.run(scenario.stop)
-    doctor_balance(trace)
     return trace, [world.transactions[txid] for _, txid in world.tx_schedule]
+
+
+def run_swap_prec(seed, prec):
+    """swap.yaml with its two transfers, one per chain, ordered by `prec`:
+    a transaction whose layers lie on different chains."""
+    scenario = load_scenario("swap")
+    scenario.transactions[0].prec = prec
+    world = build_world(scenario, seed=seed)
+    trace = world.run(scenario.stop)
+    assert world.machines[0].outcome == "Committed"
+    return trace, [world.transactions["swap1"]]
 
 
 def doctor_balance(trace):
@@ -614,7 +629,8 @@ def test_each_step_replays_once(monkeypatch):
         return original(world, ev)
 
     monkeypatch.setattr(verify, "_replay_one", replay_one)
-    trace, txns = disjoint_swaps(3)
+    trace, txns = disjoint_swaps(3, 0)
+    doctor_balance(trace)
     mutating, _, _ = witness_rules(trace, txns)
     verdict = check_strict_serializability(trace, txns,
                                            budget=len(mutating))
@@ -652,14 +668,23 @@ def small_case(case):
         return run_repeat(int(seed), [[0, 1], [1, 2]])
     if name == "set-then-incr":
         return set_then_incr()
+    if name == "swap-prec01":
+        return run_swap_prec(int(seed), [(0, 1)])
+    if name == "swap-prec10":
+        return run_swap_prec(int(seed), [(1, 0)])
+    if name == "conflict":
+        return disjoint_swaps(1, int(seed))
     return run(case)
 
 
-# The golden cases with at most 8 mutating events, the repeated action
-# and the set before an increment; each golden and repeated-action case
+# The golden cases with at most 8 mutating events, the repeated action,
+# swap with its two chains in two layers either way, the conflict family
+# at one swap and the set before an increment; each case but the last
 # also with a doctored final balance.
 SMALL = [(case, doctored)
-         for case in CASES + ["repeat@%d" % seed for seed in range(3)]
+         for case in CASES + ["%s@%d" % (name, seed) for seed in range(3)
+                              for name in ("repeat", "swap-prec01",
+                                           "swap-prec10", "conflict")]
          if case.rsplit("@", 1)[0] not in
          ("mesh6-reorder", "three-exchange", "three-exchange+eve")
          for doctored in (False, True)] + [("set-then-incr@0", False)]
@@ -673,6 +698,8 @@ def test_search_agrees_with_brute_force(case, doctored):
     # the budget is the oracle's limit: the search raises above it
     verdict = check_strict_serializability(trace, txns, budget=8)
     assert verdict.passed == brute_force_serializable(trace, txns)
+    if verdict.passed:
+        assert_valid_witness(trace, txns, verdict.witness)
 
 
 # --------------------------------------------------------------------------
