@@ -10,14 +10,10 @@ reordering of the mutating events into non-overlapping transaction
 blocks that replays to the observed final state.
 
 Replay uses one world rebuilt from the initial snapshot.  The search
-gives every mutating event one bit and a need mask: the earlier events
-of its transaction or actor on its chain, and the events of every
-transaction that ended before its own was proposed.  Layer order needs
-no mask, because trace order already keeps it and the search places
-each transaction's events in trace order (check_strict_serializability).
-The search's progress is one mask of placed events plus the open
-transaction.  It replays each event through the chain's own lock,
-unlock and invoke.
+gives every mutating event one bit and a need mask, the events that
+program, layer, actor and real-time order put before it; its progress is
+one mask of placed events plus the open transaction.  It replays each
+event through the chain's own lock, unlock and invoke.
 
 A search step costs one contract, not the whole world.  A state is one
 interned number per contract_entry(), in World.state() order.  A step's
@@ -47,7 +43,7 @@ from .chain import Address, ScenarioError
 from .engine import World, contract_entry
 from .methods import build_contract
 from .trace import (INVOKE, LOCK, OUTCOME, RECV, SEND, UNLOCK, Trace, canon)
-from .txn import ideal_execute, scope_union
+from .txn import ideal_execute, layer_partition, scope_union
 
 SAFETY = "secure-transfer-safety"
 LIVENESS = "secure-transfer-liveness"
@@ -251,30 +247,60 @@ class _MutEvent:
     failure: bool
     txid: Optional[str]
     actor: Optional[str]
+    layer: Optional[int] = None
+
+
+def _actions_by_method(txn) -> dict:
+    """A transaction's actions by method, as (target, params, layer),
+    layer by layer: the order in which an honest run invokes them."""
+    runs: dict = {}
+    for layer, ids in enumerate(layer_partition(txn)):
+        for a in map(txn.action, ids):
+            runs.setdefault(a.method, []).append(
+                (a.target, tuple(a.params), layer))
+    return runs
+
+
+def _match_action(runs: list, data: dict) -> Optional[int]:
+    """The layer of the first unmatched action of the invoke's method
+    that it runs, which it then consumes; None if it runs none of them.
+    Matching one to one, writing or not, gives a repeated action the
+    layer of its own run, not of the first."""
+    for n, (target, params, layer) in enumerate(runs):
+        if target == data["target"] and params == tuple(data["params"]):
+            del runs[n]
+            return layer
+    return None
 
 
 def _extract_mutating(trace: Trace, transactions: list) -> tuple:
-    """The mutating events, and per transaction its propose and outcome
-    ticks (for the real-time order between non-overlapping transactions),
-    in one pass over the trace."""
+    """The mutating events, each action invoke with the layer of the
+    action it runs, and per transaction its propose and outcome ticks
+    (for the real-time order between non-overlapping transactions), in
+    one pass over the trace."""
+    unmatched = {t.txid: _actions_by_method(t) for t in transactions}
     windows = {t.txid: [None, None] for t in transactions}
     events = []
     for index, event in enumerate(trace.events):
         data = event.data
         window = windows.get(data.get("txid"))
+        layer = None
         if window is not None:
             if event.kind == OUTCOME:
                 window[1] = event.tick
-            elif event.kind == INVOKE and window[0] is None \
-                    and data.get("method") == "propose":
-                window[0] = event.tick
+            elif event.kind == INVOKE:
+                if window[0] is None and data.get("method") == "propose":
+                    window[0] = event.tick
+                runs = unmatched[data["txid"]].get(data["method"])
+                if runs:
+                    layer = _match_action(runs, data)
         if event.kind == INVOKE:
             if not data.get("writes"):
                 continue
             ev = _MutEvent(index, event.chain, "invoke", data["caller"],
                            data["target"], data["method"],
                            tuple(data["params"]), False,
-                           data.get("txid"), data.get("actor"))
+                           data.get("txid"), data.get("actor"), layer)
         elif event.kind == LOCK and data["ok"]:
             ev = _MutEvent(index, event.chain, "lock", data["caller"],
                            data["target"], None, (), False,
@@ -324,28 +350,18 @@ def check_strict_serializability(trace: Trace, transactions: list,
     Each event gets one bit, in candidate order: independent actors by
     (chain, actor), then transactions in declaration order, each in trace
     order.  Its need mask holds the events that must be placed before it:
-    earlier events of its own group on its chain (1, 4) and every event
-    of each transaction that finished before its own was proposed (3).
-    A search state is the replay state, the mask of placed events and
-    the open transaction (2), and it is its own memo key.  Candidates
-    are tried in bit order, depth first, from an explicit stack.
+    earlier events of its own group on its chain (1, 4), the lower-layer
+    events of its transaction (1) and every event of each transaction
+    that finished before its own was proposed (3).  A search state is
+    the replay state, the mask of placed events and the open transaction
+    (2), and it is its own memo key.  Candidates are tried in bit order,
+    depth first, from an explicit stack.
 
-    Layer order (1) has no mask, yet the verdict and the witness are
-    those a layer mask would give:
-
-    * A step's result depends only on its event and its target's entry
-      (module docstring).  Events on different chains target different
-      contracts, so their steps commute.
-    * Inside an open block, the lowest unplaced bit is always a
-      candidate.  Suppose it has no completion, and take any other
-      candidate's completion.  Every event it places before this lowest
-      event is a later event of the block, and one on the lowest event's
-      chain would need it, so all of them are on other chains and the
-      lowest event can be moved to the front.  So no other candidate has
-      a completion either, and the search places each block in bit
-      order, which is trace order.
-    * A round starts only after the one before it completes, so trace
-      order already keeps layer order.
+    The layer masks are not implied by trace order.  An honest run starts
+    a round only after the one before it completes, but the proposer
+    takes an ack by its sequence number alone, so a forged ok ack on an
+    adversarial bridge can start the next round early.  Its invokes may
+    then reach the trace, or even a chain, before the earlier round's.
 
     A step is keyed by its event and its target's entry, on which alone
     its result depends (module docstring).  The first time a key is
@@ -366,9 +382,13 @@ def check_strict_serializability(trace: Trace, transactions: list,
 
     events.sort(key=group)          # bit i is events[i]
     block = dict.fromkeys(rank, 0)  # each transaction's events
+    layers: dict = {}               # txid -> layer -> its events
     for i, ev in enumerate(events):
         if ev.txid is not None:
             block[ev.txid] |= 1 << i
+        if ev.layer is not None:
+            by_layer = layers.setdefault(ev.txid, {})
+            by_layer[ev.layer] = by_layer.get(ev.layer, 0) | 1 << i
     # Real time: a transaction needs every transaction whose outcome tick
     # is strictly below its propose tick.  Sorted by outcome tick, those
     # are a prefix, so one OR per prefix serves every transaction.
@@ -385,9 +405,13 @@ def check_strict_serializability(trace: Trace, transactions: list,
     on_chain: dict = {}             # (group, chain) -> its events so far
     for i, ev in enumerate(events):
         key = (group(ev), ev.chain)
-        earlier = on_chain.get(key, 0)
-        need.append(before.get(ev.txid, 0) | earlier)
-        on_chain[key] = earlier | 1 << i
+        mask = before.get(ev.txid, 0) | on_chain.get(key, 0)
+        on_chain[key] = on_chain.get(key, 0) | 1 << i
+        if ev.layer is not None:
+            for layer, bits in layers[ev.txid].items():
+                if layer < ev.layer:
+                    mask |= bits
+        need.append(mask)
 
     world = build_replay_world(
         trace, extra_chains={a.chain for t in transactions

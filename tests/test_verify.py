@@ -6,8 +6,8 @@ from itertools import permutations
 
 import pytest
 
-from xchainsim import (Address, BudgetExceededError, Injection,
-                       MissingOutcomeError, World, build_world,
+from xchainsim import (Address, BudgetExceededError, FatalScenarioError,
+                       Injection, MissingOutcomeError, World, build_world,
                        check_all_or_nothing, check_secure_transfer,
                        check_strict_serializability, extract_metrics,
                        load_scenario, parse_scenario)
@@ -549,8 +549,8 @@ def run_repeat(seed, prec):
 @pytest.mark.parametrize("prec", [[[0, 1], [1, 2]], [[2, 1], [1, 0]]])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_repeated_action_serializes(seed, prec):
-    # the two runs of the transfer are equal events; each keeps its own
-    # place in trace order, so the search needs no action matching
+    # each run of the repeated transfer takes the layer of its own action,
+    # not of the first equal one, so the layer order has no cycle
     trace, txns = run_repeat(seed, prec)
     assert check_secure_transfer(trace).passed
     assert check_all_or_nothing(trace, txns).passed
@@ -559,11 +559,9 @@ def test_repeated_action_serializes(seed, prec):
     assert_valid_witness(trace, txns, verdict.witness)
 
 
-def disjoint_swaps(count, seed):
-    """The benchmark's conflict family: `count` concurrent two-chain swaps
-    on disjoint chain pairs over reordering bridges, all proposed at tick
-    0, with amounts drawn from `seed`, run at `seed`."""
-    rng = random.Random(seed)
+def disjoint_swaps(count, seed=0):
+    """`count` concurrent two-chain swaps on disjoint chain pairs, all
+    proposed at tick 0, run at `seed`."""
     chains, bridges, transactions = [], [], []
     for n in range(count):
         a, b = "a%d" % n, "b%d" % n
@@ -571,18 +569,16 @@ def disjoint_swaps(count, seed):
             chains.append({"id": chain, "contracts": [
                 {"local": "token", "kind": "token",
                  "init": {"alice": 10, "bob": 10}}]})
-        bridges += [{"src": a, "dst": b, "max_delay": 3, "reorder": True},
-                    {"src": b, "dst": a, "max_delay": 3, "reorder": True}]
+        bridges += [{"src": a, "dst": b, "max_delay": 2},
+                    {"src": b, "dst": a, "max_delay": 2}]
         transactions.append({"txid": "swap%d" % n, "proposer": a, "tick": 0,
                              "actions": [
                                  {"chain": a, "target": "token",
                                   "method": "transfer",
-                                  "params": ["alice", "bob",
-                                             rng.randint(1, 9)]},
+                                  "params": ["alice", "bob", 1]},
                                  {"chain": b, "target": "token",
                                   "method": "transfer",
-                                  "params": ["bob", "alice",
-                                             rng.randint(1, 9)]}]})
+                                  "params": ["bob", "alice", 2]}]})
     scenario = parse_scenario({"name": "disjoint", "chains": chains,
                                "bridges": bridges,
                                "transactions": transactions})
@@ -599,6 +595,31 @@ def run_swap_prec(seed, prec):
     world = build_world(scenario, seed=seed)
     trace = world.run(scenario.stop)
     assert world.machines[0].outcome == "Committed"
+    return trace, [world.transactions["swap1"]]
+
+
+def run_forged_ack(seed, tick, chains):
+    """adversary-forge's swap in two layers whose return bridge forges an
+    ok ack for seq 1, the proposer's first run_action rcall, at `tick`:
+    the second round can start before the first has run.  With `chains`
+    "two", the mumbai transfer precedes the fantom one; with "one", both
+    layers are mumbai transfers."""
+    scenario = load_scenario("adversary-forge")
+    scenario.bridges[0].max_delay = 6     # fantom -> mumbai, reordering
+    txn = scenario.transactions[0]
+    if chains == "one":
+        bob, alice, _ = txn.actions[1]["params"]
+        txn.actions[0] = dict(txn.actions[1], id=0)
+        txn.actions[1] = dict(txn.actions[1], params=[alice, bob, 1])
+        txn.prec = [(0, 1)]
+    else:
+        txn.prec = [(1, 0)]
+    world = build_world(scenario, seed=seed)
+    world.injections.clear()
+    world.add_injection(Injection(
+        tick=tick, op="forge", bridge=BridgeId("mumbai", "fantom"),
+        payload=Ack(seq=1, ok=True)))
+    trace = world.run(scenario.stop)
     return trace, [world.transactions["swap1"]]
 
 
@@ -629,7 +650,7 @@ def test_each_step_replays_once(monkeypatch):
         return original(world, ev)
 
     monkeypatch.setattr(verify, "_replay_one", replay_one)
-    trace, txns = disjoint_swaps(3, 0)
+    trace, txns = disjoint_swaps(3)
     doctor_balance(trace)
     mutating, _, _ = witness_rules(trace, txns)
     verdict = check_strict_serializability(trace, txns,
@@ -674,17 +695,96 @@ def small_case(case):
         return run_swap_prec(int(seed), [(1, 0)])
     if name == "conflict":
         return disjoint_swaps(1, int(seed))
+    if name.startswith("forged-"):
+        chains = name[len("forged-"):]
+        return run_forged_ack(int(seed), FORGED_TICK[chains], chains)
     return run(case)
+
+
+# Seeds and ticks at which the forged ack puts the second layer's
+# transfer in the trace before the first layer's, which moves 7.
+FORGED_TICK = {"one": 1, "two": 4}
+FORGED_CASES = ["forged-one@1", "forged-two@0"]
+
+
+@pytest.mark.parametrize("case", FORGED_CASES)
+def test_forged_ack_round_keeps_layer_order(case):
+    trace, txns = small_case(case)
+    amounts = [e.data["params"][2] for e in trace.events
+               if e.kind == INVOKE and e.data.get("txid") == "swap1"
+               and e.data["method"] == "transfer"]
+    assert len(amounts) == 2 and amounts[1] == 7
+    verdict = check_strict_serializability(trace, txns)
+    if case.startswith("forged-one"):
+        # one chain: its order and the layer order cannot both hold
+        assert not verdict.passed
+        assert {v.prop for v in verdict.violations} == {SERIALIZABILITY}
+    else:
+        # two chains: the steps commute, and the witness puts layer 0 first
+        assert verdict.passed
+        assert_valid_witness(trace, txns, verdict.witness)
+
+
+def random_case(seed):
+    """A small random scenario: a transaction proposed on chain a, of one
+    or two actions on distinct contracts of chains a and b under a random
+    precedence order; bridges that may reorder and may be adversarial,
+    with forge, drop and corrupt injections, mostly forged acks for the
+    proposer's rcalls; and a write by eve."""
+    rng = random.Random(seed)
+    chains = [{"id": c, "contracts": [
+        {"local": "token", "kind": "token",
+         "init": {"alice": 20, "bob": 20, "eve": 5}},
+        {"local": "side", "kind": "counter", "init": {"count": 0}}]}
+        for c in "ab"]
+    bridges, adversary = [], []
+    for src, dst, odds in (("a", "b", 0.25), ("b", "a", 0.75)):
+        adversarial = rng.random() < odds
+        bridges.append({"src": src, "dst": dst, "reorder": rng.random() < 0.5,
+                        "max_delay": rng.randint(1, 6),
+                        "mode": "adversarial" if adversarial else "honest"})
+        for _ in range(rng.randint(1, 3) if adversarial else 0):
+            op = rng.choice(["forge", "forge", "drop", "corrupt"])
+            ack = {"type": "ack", "seq": rng.choice([0, 1, 1, 2]),
+                   "ok": rng.random() < 0.9}
+            adversary.append(dict({"tick": rng.randint(1, 5), "op": op,
+                                   "src": src, "dst": dst},
+                                  **({"payload": ack} if op != "drop"
+                                     else {})))
+    actions = []
+    for n, (chain, target) in enumerate(
+            rng.sample([(c, t) for c in "ab" for t in ("token", "side")],
+                       rng.choice([1, 2, 2, 2]))):
+        if target == "side":
+            method, params = "incr", [rng.randint(1, 3)]
+        else:
+            method, params = "transfer", rng.sample(["alice", "bob"], 2) + \
+                [rng.randint(1, 9)]
+        actions.append({"id": n, "chain": chain, "target": target,
+                        "method": method, "params": params})
+    prec = [[0, 1]] if len(actions) == 2 and rng.random() < 0.8 else []
+    if rng.random() < 0.5:
+        adversary.append({"tick": rng.randint(0, 10), "op": "invoke",
+                          "chain": rng.choice("ab"), "caller": "eve",
+                          "target": "side", "method": "incr", "params": [1]})
+    scenario = parse_scenario({
+        "name": "random", "chains": chains, "bridges": bridges,
+        "transactions": [{"txid": "t", "proposer": "a",
+                          "tick": rng.randint(0, 3), "actions": actions,
+                          "prec": prec}],
+        "adversary": adversary})
+    world = build_world(scenario, seed=seed)
+    return world.run(scenario.stop), [world.transactions["t"]]
 
 
 # The golden cases with at most 8 mutating events, the repeated action,
 # swap with its two chains in two layers either way, the conflict family
-# at one swap and the set before an increment; each case but the last
-# also with a doctored final balance.
+# at one swap, the rounds run early by a forged ack and the set before an
+# increment; each case but the last also with a doctored final balance.
 SMALL = [(case, doctored)
-         for case in CASES + ["%s@%d" % (name, seed) for seed in range(3)
-                              for name in ("repeat", "swap-prec01",
-                                           "swap-prec10", "conflict")]
+         for case in CASES + FORGED_CASES +
+         ["%s@%d" % (name, seed) for seed in range(3)
+          for name in ("repeat", "swap-prec01", "swap-prec10", "conflict")]
          if case.rsplit("@", 1)[0] not in
          ("mesh6-reorder", "three-exchange", "three-exchange+eve")
          for doctored in (False, True)] + [("set-then-incr@0", False)]
@@ -700,6 +800,26 @@ def test_search_agrees_with_brute_force(case, doctored):
     assert verdict.passed == brute_force_serializable(trace, txns)
     if verdict.passed:
         assert_valid_witness(trace, txns, verdict.witness)
+
+
+def test_search_agrees_with_brute_force_on_random_scenarios():
+    # at seed 21 a forged ack starts the second round before the first
+    # has run, on the other chain
+    for seed in range(300):
+        try:
+            trace, txns = random_case(seed)
+        except FatalScenarioError:
+            # a forged ok ack can also send unlock_scope ahead of a
+            # run_action, which then finds its scope unlocked
+            continue
+        for doctored in (False, True):
+            if doctored:
+                doctor_balance(trace)
+            verdict = check_strict_serializability(trace, txns, budget=8)
+            assert verdict.passed == brute_force_serializable(trace, txns), \
+                (seed, doctored)
+            if verdict.passed:
+                assert_valid_witness(trace, txns, verdict.witness)
 
 
 # --------------------------------------------------------------------------
