@@ -10,7 +10,7 @@ serializability.
 from .adapter import Adapter, Future, UnknownFutureError
 from .bridge import (Ack, Anotify, Bridge, BridgeId, BridgeMessage,
                      BridgePolicy, NotAdversarialBridge, Rcall)
-from .chain import (Address, Block, Chain, Contract, FatalScenarioError,
+from .chain import (Address, Chain, Contract, FatalScenarioError,
                     InvokeOutcome, MethodDef, MethodFailure, ScenarioError)
 from .engine import Injection, StopCondition, World
 from .executor import ExecutorContract, ProposerMachine

@@ -43,6 +43,7 @@ class Future:
     state: str = PENDING
     ok: Optional[bool] = None
     result: object = None
+    owner: object = None      # the machine awaiting it, called on resolution
 
     @property
     def terminal(self) -> bool:

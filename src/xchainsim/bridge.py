@@ -99,7 +99,6 @@ class Ack:
 class BridgeMessage:
     msg_id: int
     payload: object
-    sender: Address
     dest: Address
     origin_block: int
 
@@ -179,8 +178,7 @@ class Bridge:
             if queued.message.msg_id == msg_id:
                 old = queued.message
                 queued.message = BridgeMessage(
-                    old.msg_id, new_payload, old.sender, old.dest,
-                    old.origin_block)
+                    old.msg_id, new_payload, old.dest, old.origin_block)
                 return queued.message
         return None
 

@@ -3,11 +3,12 @@ block numbering.
 
 A chain holds named contracts.  Each contract carries plain variables
 (int | bool | bytes values), lock metadata, and a method table of host
-functions.  Method invocations are recorded in a pending list which a
-seal step freezes into numbered immutable blocks; the block index is what
-bridge messages later cite as their origin.  The chain keeps only its
-height: sealed blocks are handed to the engine, not stored, and the
-engine counts an empty block without building it.
+functions.  Of its open block the chain keeps what the run reads: how
+many invokes, locks, unlocks and sends it records, and the sends
+themselves.  A seal step numbers the block and hands its sends to the
+engine; the block index is what bridge messages later cite as their
+origin.  The chain keeps only its height, and the engine counts an
+empty block without sealing it.
 """
 
 from __future__ import annotations
@@ -87,12 +88,6 @@ class Contract:
         return self.locked_by is not None
 
 
-@dataclass(frozen=True)
-class Block:
-    index: int
-    records: tuple
-
-
 @dataclass
 class InvokeOutcome:
     ok: bool
@@ -138,7 +133,8 @@ class Chain:
         self.seal_every = max(1, seal_every)
         self.contracts: dict[Address, Contract] = {}
         self.height = 0  # blocks sealed so far, empty ones included
-        self.pending: list = []
+        self.pending = 0  # records in the open block
+        self.sends: list = []  # the open block's bridge sends
         self.executor_addr: Optional[Address] = None
         self.clock = 0  # current tick, maintained by the engine
 
@@ -247,14 +243,21 @@ class Chain:
                             (), None, None)
         return outcome
 
-    def seal_block(self) -> Block:
-        block = Block(self.height, tuple(self.pending))
-        self.height += 1
-        self.pending.clear()
-        if block.records:
+    def record_send(self, send: tuple) -> None:
+        """Add a bridge send to the open block."""
+        self.sends.append(send)
+        self.pending += 1
+
+    def seal_block(self) -> list:
+        """Close the open block as block `height` and return its sends."""
+        sends = self.sends
+        if self.pending:
             self.trace.append(TraceEvent(self.clock, SEAL, self.id, {
-                "block": block.index, "count": len(block.records)}))
-        return block
+                "block": self.height, "count": self.pending}))
+        self.height += 1
+        self.pending = 0
+        self.sends = []
+        return sends
 
     # Internals ----------------------------------------------------------
 
@@ -286,9 +289,7 @@ class Chain:
 
     def _record_invoke(self, caller, target, method, params, depth, outcome,
                        writes, txid, actor) -> None:
-        record = ("invoke", caller, target, method, tuple(params),
-                  outcome.ok, outcome.reason)
-        self.pending.append(record)
+        self.pending += 1
         data = {"caller": caller, "target": target, "method": method,
                 "params": list(params), "depth": depth, "ok": outcome.ok}
         if outcome.ok and outcome.result is not None:
@@ -304,7 +305,7 @@ class Chain:
         self.trace.append(TraceEvent(self.clock, INVOKE, self.id, data))
 
     def _lock_event(self, caller, target, ok, reason, txid) -> InvokeOutcome:
-        self.pending.append(("lock", caller, target, ok, reason))
+        self.pending += 1
         data = {"caller": caller, "target": target, "ok": ok}
         if reason:
             data["err"] = reason
@@ -315,7 +316,7 @@ class Chain:
 
     def _unlock_event(self, caller, target, failure, ok, reason,
                       txid) -> InvokeOutcome:
-        self.pending.append(("unlock", caller, target, failure, ok, reason))
+        self.pending += 1
         data = {"caller": caller, "target": target, "failure": failure,
                 "ok": ok}
         if reason:

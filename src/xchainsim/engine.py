@@ -3,13 +3,13 @@
 Each tick runs four phases in a fixed order: adversary injections fire,
 due bridge messages deliver, protocol machines step on the futures those
 deliveries resolved (and newly scheduled transactions are proposed), and
-finally every chain due to seal closes one block, at which point freshly
-recorded bridge sends become in-flight messages with seeded delivery
-delays.
+finally every chain due to seal closes one block, at which point the
+block's bridge sends become in-flight messages with seeded delivery
+delays, each citing the block's index as its origin.
 
 A tick costs what happens in it: delivery visits only the bridges that
-hold messages, and a chain with nothing pending counts its empty block
-instead of building it.
+hold messages, and a chain with an empty open block counts it instead of
+sealing it.
 
 All nondeterminism (delays, reorder permutations) draws from one seeded
 generator, so a (scenario, seed) pair fully determines the trace.
@@ -77,7 +77,6 @@ class World:
         self.injections: list[Injection] = []
         self.machines: list = []
         self.kicks: list = []
-        self.future_owner: dict = {}
         self.pending_futures = 0          # issued by any adapter, not resolved
         self.resolutions: list = []
         self.clock = 0
@@ -138,14 +137,10 @@ class World:
             return
         for out_id in (bridge_id, reverse):
             in_id = BridgeId(out_id.dst, out_id.src, out_id.tag)
-            local = "adapter:%s" % out_id.dst if out_id.tag == 0 \
-                else "adapter:%s#%d" % (out_id.dst, out_id.tag)
-            addr = Address(out_id.src, local)
+            addr = Address(out_id.src, adapter_local(out_id.dst, out_id.tag))
             if addr in self.adapters:
                 continue
-            peer_local = "adapter:%s" % out_id.src if out_id.tag == 0 \
-                else "adapter:%s#%d" % (out_id.src, out_id.tag)
-            peer = Address(out_id.dst, peer_local)
+            peer = Address(out_id.dst, adapter_local(out_id.src, out_id.tag))
             adapter = Adapter(self, self.chains[out_id.src], addr, peer,
                               out_id, in_id)
             self.adapters[addr] = adapter
@@ -169,9 +164,8 @@ class World:
 
     def adapter_between(self, local_chain: str, remote_chain: str,
                         tag: int = 0) -> Adapter:
-        local = "adapter:%s" % remote_chain if tag == 0 \
-            else "adapter:%s#%d" % (remote_chain, tag)
-        adapter = self.adapters.get(Address(local_chain, local))
+        adapter = self.adapters.get(
+            Address(local_chain, adapter_local(remote_chain, tag)))
         if adapter is None:
             raise ScenarioError("no adapter pair between %s and %s"
                                 % (local_chain, remote_chain))
@@ -190,8 +184,8 @@ class World:
             raise ScenarioError("unknown bridge %s" % bridge_id.canon())
         bridge.validate_send(sender, dest)
         msg_id = self.next_msg_id()
-        self.chains[bridge_id.src].pending.append(
-            ("send", bridge_id, msg_id, sender, dest, payload))
+        self.chains[bridge_id.src].record_send(
+            (bridge_id, msg_id, sender, dest, payload))
         return msg_id
 
     def notify_resolution(self, adapter: Adapter, future) -> None:
@@ -253,11 +247,8 @@ class World:
                 pending_resolutions = self.resolutions
                 self.resolutions = []
                 for adapter, future in pending_resolutions:
-                    # A future resolves once, so its owner is needed once.
-                    owner = self.future_owner.pop((adapter.addr, future.seq),
-                                                  None)
-                    if owner is not None:
-                        owner.on_future(adapter, future)
+                    if future.owner is not None:
+                        future.owner.on_future(adapter, future)
 
                 for txid in schedule_by_tick.get(tick, ()):
                     txn = self.transactions[txid]
@@ -292,25 +283,20 @@ class World:
             self.kicks.pop(0).start()
 
     def _seal_chain(self, chain: Chain, tick: int) -> None:
-        block = chain.seal_block()
-        for record in block.records:
-            if record[0] != "send":
-                continue
-            _, bridge_id, msg_id, sender, dest, payload = record
-            message = BridgeMessage(msg_id, payload, sender, dest,
-                                    origin_block=block.index)
+        block = chain.height
+        for bridge_id, msg_id, sender, dest, payload in chain.seal_block():
+            message = BridgeMessage(msg_id, payload, dest, origin_block=block)
             self.bridges[bridge_id].enqueue(message, tick, self.rng)
             self.active_bridges.add(bridge_id)
             self.trace.append(TraceEvent(tick, SEND, bridge_id.src, {
                 "bridge": bridge_id, "msgid": msg_id, "sender": sender,
-                "dest": dest, "block": block.index, "payload": payload}))
+                "dest": dest, "block": block, "payload": payload}))
 
     def quiescent(self) -> bool:
         if any(self.bridges[b].queue for b in self.active_bridges):
             return False
-        for chain in self.chains.values():
-            if any(r[0] == "send" for r in chain.pending):
-                return False
+        if any(chain.sends for chain in self.chains.values()):
+            return False
         if any(not m.done for m in self.machines):
             return False
         return self.pending_futures == 0
@@ -347,10 +333,8 @@ class World:
             if dest is None:
                 dest = self.adapter_between(injection.bridge.dst,
                                             injection.bridge.src).addr
-            sender = Address(injection.bridge.src,
-                             "adapter:%s" % injection.bridge.dst)
             message = BridgeMessage(self.next_msg_id(), injection.payload,
-                                    sender, dest, injection.fake_block)
+                                    dest, injection.fake_block)
             bridge.forge(message, tick, self.rng)
             self.active_bridges.add(injection.bridge)
             self.trace.append(TraceEvent(tick, ADVERSARY, injection.bridge.dst,
@@ -403,6 +387,14 @@ class World:
             contract.locked_by = locked_by
             contract.checkpoint = None if checkpoint is None \
                 else dict(checkpoint)
+
+
+def adapter_local(remote_chain: str, tag: int) -> str:
+    """The local name of the adapter that talks to `remote_chain` over
+    the bridge pair with `tag`."""
+    if tag == 0:
+        return "adapter:%s" % remote_chain
+    return "adapter:%s#%d" % (remote_chain, tag)
 
 
 def contract_entry(contract: Contract) -> tuple:

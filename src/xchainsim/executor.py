@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .chain import Address, FatalScenarioError, MethodFailure
+from .chain import Address, MethodFailure
 from .trace import OUTCOME, TraceEvent
-from .txn import CrossChainTransaction, layer_partition, scope_union
+from .txn import CrossChainTransaction, scope_union
 
 LOCKING = "locking"
 EXECUTING = "executing"
@@ -127,16 +127,11 @@ class ExecutorContract:
         mdef = contract.methods.get(method)
         if mdef is None:
             raise MethodFailure("UnknownMethod")
+        # Honest bridges never get here unlocked; a forged ack can let
+        # the proposer unlock before a late run_action arrives.
         needed = set(mdef.declared_scope) | {target}
-        held = set(self.participant_locks.get(txid, ()))
-        if not needed <= held:
-            raise FatalScenarioError(
-                "ScopeNotLocked: %s.%s needs %s, %s holds %s for %s"
-                % (target.canon(), method,
-                   ",".join(a.canon() for a in sorted(needed)),
-                   self.addr.canon(),
-                   ",".join(a.canon() for a in sorted(held)) or "nothing",
-                   txid))
+        if not needed <= set(self.participant_locks.get(txid, ())):
+            raise MethodFailure("ScopeNotLocked")
         outcome = self.chain.invoke(self.addr, target, method, args,
                                     depth=depth + 1, txid=txid)
         if not outcome.ok:
@@ -162,22 +157,17 @@ class ProposerMachine:
         self.world = world
         self.executor = executor
         self.txn = txn
-        self.layers = layer_partition(txn)
         if world.lock_order == "declared":
             self.chain_order = txn.chains_declared()
         else:
             self.chain_order = txn.chains()
         self.scopes = {c: scope_union(txn, world, c) for c in self.chain_order}
         self.phase = LOCKING
-        self.failure = False
-        self.reason: Optional[str] = None
-        self.outcome: Optional[str] = None
+        self.reason: Optional[str] = None   # set exactly when it fails
         self.round_no = -1
-        self.rounds_run = 0
-        self.lock_index = 0
-        self.contacted: list = []
+        self.contacted: list = []           # chains asked to lock, in order
         self.unlock_queue: list = []
-        self.awaiting: dict = {}          # (adapter addr, seq) -> purpose
+        self.awaiting: dict = {}            # (adapter addr, seq) -> purpose
 
     # Engine entry points -------------------------------------------------
 
@@ -189,21 +179,23 @@ class ProposerMachine:
         purpose = self.awaiting.pop(key, None)
         if purpose is None:
             return
-        kind = purpose[0]
-        if kind == "lock":
-            if future.ok:
-                self.lock_index += 1
-            else:
+        if not future.ok:
+            if purpose[0] == "lock":
                 self._begin_abort(LOCK_CONFLICT)
-        elif kind == "action" and not future.ok:
-            self.failure = True
-            self.reason = OP_FAILED
+            elif purpose[0] == "action":
+                self.reason = OP_FAILED
         if not self.awaiting:
             self._advance()
 
     @property
     def done(self) -> bool:
         return self.phase == DONE
+
+    @property
+    def outcome(self) -> Optional[str]:
+        if self.phase != DONE:
+            return None
+        return ABORTED if self.reason is not None else COMMITTED
 
     # Phases --------------------------------------------------------------
 
@@ -216,8 +208,8 @@ class ProposerMachine:
         """
         while not self.awaiting:
             if self.phase == LOCKING:
-                if self.lock_index >= len(self.chain_order):
-                    if not self.layers:   # vacuous transaction
+                if len(self.contacted) == len(self.chain_order):
+                    if not self.txn.layers:   # vacuous transaction
                         self.phase = UNLOCKING
                         self.unlock_queue = list(reversed(self.contacted))
                         continue
@@ -225,24 +217,22 @@ class ProposerMachine:
                     self.round_no = 0
                     self._issue_round()
                     continue
-                chain_id = self.chain_order[self.lock_index]
+                chain_id = self.chain_order[len(self.contacted)]
                 self.contacted.append(chain_id)
                 params = [self.txn.txid.encode()] + \
                     [encode_address(a) for a in self.scopes[chain_id]]
                 if chain_id == self.executor.chain.id:
                     outcome = self._local_call("lock_scope", params)
-                    if outcome.ok:
-                        self.lock_index += 1
-                    else:
+                    if not outcome.ok:
                         self._begin_abort(LOCK_CONFLICT)
                 else:
                     self._remote_call(chain_id, "lock_scope", params,
                                       ("lock", chain_id))
             elif self.phase == EXECUTING:
                 # A round just completed.
-                if self.failure:
-                    self._begin_abort(self.reason or OP_FAILED)
-                elif self.round_no + 1 < len(self.layers):
+                if self.reason is not None:
+                    self._begin_abort(self.reason)
+                elif self.round_no + 1 < len(self.txn.layers):
                     self.round_no += 1
                     self._issue_round()
                 else:
@@ -253,7 +243,7 @@ class ProposerMachine:
                     self._finish()
                     return
                 chain_id = self.unlock_queue.pop(0)
-                params = [self.txn.txid.encode(), self.failure]
+                params = [self.txn.txid.encode(), self.reason is not None]
                 if chain_id == self.executor.chain.id:
                     self._local_call("unlock_scope", params)
                 else:
@@ -263,35 +253,30 @@ class ProposerMachine:
                 return
 
     def _issue_round(self) -> None:
-        self.rounds_run += 1
-        for action_id in self.layers[self.round_no]:
-            action = self.txn.action(action_id)
+        for action in self.txn.layers[self.round_no]:
             params = [self.txn.txid.encode(), encode_address(action.target),
                       action.method.encode()] + list(action.params)
             if action.chain == self.executor.chain.id:
                 outcome = self._local_call("run_action", params)
                 if not outcome.ok:
-                    self.failure = True
                     self.reason = OP_FAILED
             else:
                 self._remote_call(action.chain, "run_action", params,
-                                  ("action", action_id))
+                                  ("action", action.action_id))
 
     def _begin_abort(self, reason: str) -> None:
-        self.failure = True
         self.reason = reason
         self.phase = UNLOCKING
         self.unlock_queue = list(reversed(self.contacted))
 
     def _finish(self) -> None:
         self.phase = DONE
-        self.outcome = ABORTED if self.failure else COMMITTED
         if self.executor.active is self:
             self.executor.active = None
         chain = self.executor.chain
         data = {"txid": self.txn.txid, "outcome": self.outcome,
-                "rounds": self.rounds_run}
-        if self.failure:
+                "rounds": self.round_no + 1}
+        if self.reason is not None:
             data["reason"] = self.reason
         chain.trace.append(TraceEvent(chain.clock, OUTCOME, chain.id, data))
 
@@ -305,5 +290,5 @@ class ProposerMachine:
         adapter = self.world.adapter_between(self.executor.chain.id, chain_id)
         remote_exec = self.world.chains[chain_id].executor_addr
         future = adapter.rcall(self.executor.addr, remote_exec, method, params)
+        future.owner = self
         self.awaiting[(adapter.addr, future.seq)] = purpose
-        self.world.future_owner[(adapter.addr, future.seq)] = self

@@ -6,7 +6,7 @@ execution that the atomicity checkers compare protocol runs against.
 from __future__ import annotations
 
 import graphlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .chain import Address, ScenarioError
@@ -31,13 +31,15 @@ class IndexedAction:
                                    self.chain))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrossChainTransaction:
     txid: str
     actions: list            # of IndexedAction
     prec: set                # of (before_id, after_id)
     originator: Address
     proposer_chain: str
+    # layer_partition's layers, each a tuple of IndexedActions
+    layers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [a.action_id for a in self.actions]
@@ -52,7 +54,10 @@ class CrossChainTransaction:
             if before == after:
                 raise CyclicOrderError("%s: action %d precedes itself"
                                        % (self.txid, before))
-        layer_partition(self)  # raises CyclicOrderError on a cycle
+        by_id = {a.action_id: a for a in self.actions}
+        # layer_partition raises CyclicOrderError on a cycle
+        object.__setattr__(self, "layers", tuple(
+            tuple(by_id[i] for i in ids) for ids in layer_partition(self)))
 
     def action(self, action_id: int) -> IndexedAction:
         for a in self.actions:
@@ -134,10 +139,9 @@ def validate_transaction(txn: CrossChainTransaction, world) -> None:
                                 "%s.%s" % (txn.txid, action.action_id,
                                            action.target.canon(),
                                            action.method))
-    for layer in layer_partition(txn):
+    for layer in txn.layers:
         per_chain: dict[str, set] = {}
-        for action_id in layer:
-            action = txn.action(action_id)
+        for action in layer:
             contract = world.chains[action.chain].contract(action.target)
             scope = set(contract.methods[action.method].declared_scope)
             scope.add(action.target)
@@ -172,9 +176,8 @@ def ideal_execute(txn: CrossChainTransaction, world) -> IdealReport:
             scoped[addr] = world.chains[chain_id].contract(addr)
     checkpoint = {addr: dict(c.vars) for addr, c in scoped.items()}
 
-    for layer in layer_partition(txn):
-        for action_id in layer:
-            action = txn.action(action_id)
+    for layer in txn.layers:
+        for action in layer:
             chain = world.chains[action.chain]
             outcome = chain.invoke(chain.executor_addr, action.target,
                                    action.method, list(action.params),
@@ -182,5 +185,5 @@ def ideal_execute(txn: CrossChainTransaction, world) -> IdealReport:
             if not outcome.ok:
                 for addr, vars_ in checkpoint.items():
                     scoped[addr].vars = dict(vars_)
-                return IdealReport(False, action_id, outcome.reason)
+                return IdealReport(False, action.action_id, outcome.reason)
     return IdealReport(True)

@@ -43,7 +43,7 @@ from .chain import Address, ScenarioError
 from .engine import World, contract_entry
 from .methods import build_contract
 from .trace import (INVOKE, LOCK, OUTCOME, RECV, SEND, UNLOCK, Trace, canon)
-from .txn import ideal_execute, layer_partition, scope_union
+from .txn import ideal_execute, scope_union
 
 SAFETY = "secure-transfer-safety"
 LIVENESS = "secure-transfer-liveness"
@@ -254,8 +254,8 @@ def _actions_by_method(txn) -> dict:
     """A transaction's actions by method, as (target, params, layer),
     layer by layer: the order in which an honest run invokes them."""
     runs: dict = {}
-    for layer, ids in enumerate(layer_partition(txn)):
-        for a in map(txn.action, ids):
+    for layer, actions in enumerate(txn.layers):
+        for a in actions:
             runs.setdefault(a.method, []).append(
                 (a.target, tuple(a.params), layer))
     return runs
@@ -320,8 +320,9 @@ def _extract_mutating(trace: Trace, transactions: list) -> tuple:
 
 
 def _replay_one(world: World, ev: _MutEvent) -> bool:
-    """Replay one event through the chain's own lock discipline, then drop
-    the records it left, so replay memory does not grow with the search."""
+    """Replay one event through the chain's own lock discipline, then
+    empty the open block and the trace it wrote, so replay memory does not
+    grow with the search."""
     chain = world.chains[ev.chain]
     if ev.kind == "lock":
         outcome = chain.lock(ev.caller, ev.target)
@@ -330,7 +331,7 @@ def _replay_one(world: World, ev: _MutEvent) -> bool:
     else:
         outcome = chain.invoke(ev.caller, ev.target, ev.method,
                                list(ev.params))
-    chain.pending.clear()
+    chain.pending = 0
     world.trace.events.clear()
     return outcome.ok
 

@@ -14,7 +14,7 @@ import pytest
 from xchainsim import (build_world, check_all_or_nothing,
                        check_secure_transfer, check_strict_serializability,
                        extract_metrics, load_scenario)
-from xchainsim.trace import SEND, ContractSnapshot
+from xchainsim.trace import INVOKE, SEND, ContractSnapshot
 from xchainsim.verify import LIVENESS, SAFETY
 
 import test_chain
@@ -51,6 +51,10 @@ def honest_sweep():
     for name in HONEST_SCENARIOS:
         for seed in range(SEEDS_PER_SCENARIO):
             world, trace, txns = _run(name, seed)
+            # only a forged ack can run an action on an unlocked scope
+            assert not any(e.kind == INVOKE and
+                           e.data.get("err") == "ScopeNotLocked"
+                           for e in trace.events), (name, seed)
             results.append({
                 "name": name, "seed": seed,
                 "quiesced": world.quiesced,

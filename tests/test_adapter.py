@@ -155,8 +155,7 @@ def test_unknown_ack_seq_is_anomaly_and_ignored(notify_world):
     adapter = world.adapter_between("c", "d")
     future = adapter.anotify(Address("c", "caller"), b"x",
                              Address("d", "inbox"))
-    stray = BridgeMessage(999, Ack(seq=555, ok=True),
-                          Address("d", "adapter:c"), adapter.addr, 0)
+    stray = BridgeMessage(999, Ack(seq=555, ok=True), adapter.addr, 0)
     adapter.on_recv(stray)
     anomalies = [e for e in world.trace.events if e.kind == ANOMALY]
     assert anomalies and anomalies[0].data["seq"] == 555

@@ -10,8 +10,7 @@ from xchainsim.bridge import Ack, Bridge, BridgeId, BridgeMessage, BridgePolicy
 
 
 def msg(i):
-    return BridgeMessage(i, Ack(seq=i, ok=True), Address("a", "p"),
-                         Address("b", "q"), 0)
+    return BridgeMessage(i, Ack(seq=i, ok=True), Address("b", "q"), 0)
 
 
 def test_origin_block_bound_at_seal(two_chain_world):

@@ -7,6 +7,7 @@ import pytest
 
 from xchainsim import Address, FatalScenarioError, MethodDef, World
 from xchainsim.chain import Contract
+from xchainsim.trace import SEAL
 
 
 ALICE = Address("one", "alice")
@@ -43,7 +44,7 @@ def test_transfer_insufficient_funds_is_recorded_noop(world):
     outcome = chain.invoke(BOB, TOKEN, "transfer", [b"bob", b"alice", 5])
     assert not outcome.ok and outcome.reason == "InsufficientFunds"
     assert chain.contract(TOKEN).vars == before
-    assert chain.pending[-1][0] == "invoke" and chain.pending[-1][5] is False
+    assert chain.pending == 1   # the failed invoke is in the open block
 
 
 def test_locked_contract_rejects_other_callers(world):
@@ -118,18 +119,25 @@ def test_add_executor_owner_only_and_idempotent(world):
     assert chain.contract(TOKEN).trusted_executors == before
 
 
-def test_seal_block_indices_and_immutability(world):
-    chain = chain_of(world)
-    chain.invoke(ALICE, TOKEN, "transfer", [b"alice", b"bob", 1])
-    chain.invoke(ALICE, TOKEN, "transfer", [b"alice", b"bob", 1])
-    chain.invoke(ALICE, TOKEN, "transfer", [b"alice", b"bob", 1])
-    block = chain.seal_block()
-    assert block.index == 0 and len(block.records) == 3
-    empty = chain.seal_block()
-    assert empty.index == 1 and empty.records == ()
-    assert chain.height == 2
-    with pytest.raises(Exception):
-        block.records.append("x")  # tuple: sealed blocks cannot grow
+def test_seal_block_indices_and_counts(two_chain_world):
+    world = two_chain_world
+    chain = world.chains["left"]
+    alice, token = Address("left", "alice"), Address("left", "token")
+    for _ in range(3):
+        chain.invoke(alice, token, "transfer", [b"alice", b"bob", 1])
+    assert chain.seal_block() == []
+    # a refused lock, a refused unlock and a send count like invokes
+    assert not chain.lock(alice, token).ok
+    assert not chain.unlock(alice, token, failure=False).ok
+    world.adapter_between("left", "right").notify(
+        alice, b"x", Address("right", "token"))
+    [send] = chain.seal_block()
+    assert send[0].canon() == "left>right#0"
+    assert chain.pending == 0 and chain.sends == []
+    assert chain.seal_block() == []   # empty: counted, no seal event
+    assert chain.height == 3
+    assert [e.data for e in world.trace.events if e.kind == SEAL] == [
+        {"block": 0, "count": 3}, {"block": 1, "count": 3}]
 
 
 def test_scope_violation_is_fatal(world):

@@ -7,7 +7,7 @@ from xchainsim import (Address, Injection, ScenarioError, StopCondition,
                        ValidationError, World, build_world, bundled_scenarios,
                        load_scenario, parse_scenario)
 from xchainsim.bridge import Ack, BridgeId
-from xchainsim.trace import RECV, SEND
+from xchainsim.trace import OUTCOME, RECV, SEND
 
 BUNDLED = ["adversary-drop", "adversary-forge", "swap", "swap-lockfail",
            "swap-updatefail", "symmetric-conflict", "three-exchange"]
@@ -45,16 +45,6 @@ def test_quiesce_waits_for_everything():
     assert all(m.done for m in world.machines)
     for adapter in world.adapters.values():
         assert all(f.terminal for f in adapter.futures.values())
-
-
-def test_resolved_futures_leave_no_owner_entry():
-    # a future resolves once, so the engine forgets its owner on dispatch
-    scenario = load_scenario("swap")
-    world = build_world(scenario, seed=0)
-    world.run(scenario.stop)
-    assert world.quiesced
-    assert any(adapter.futures for adapter in world.adapters.values())
-    assert world.future_owner == {}
 
 
 def test_max_ticks_stop_leaves_quiesced_false():
@@ -301,10 +291,11 @@ def test_layered_transaction_runs_round_per_layer():
     }
     scenario = parse_scenario(raw)
     world = build_world(scenario, seed=2)
-    world.run(scenario.stop)
+    trace = world.run(scenario.stop)
     machine = world.machines[0]
     assert machine.outcome == "Committed"
-    assert machine.rounds_run == 3
+    [outcome] = [e for e in trace.events if e.kind == OUTCOME]
+    assert outcome.data["rounds"] == 3
     for chain_id, local, count in (("a", "t1", 1), ("b", "t1", 2),
                                    ("a", "t2", 3), ("b", "t2", 4)):
         assert world.chains[chain_id].contract(

@@ -1,13 +1,11 @@
 """Two-phase protocol behavior: the swap message narrative, abort paths,
 symmetric conflicts, executor authorization, and adversary resistance."""
 
-import pytest
-
-from xchainsim import (Address, FatalScenarioError, Injection, StopCondition,
-                       World, build_world, check_all_or_nothing,
-                       extract_metrics, load_scenario)
+from xchainsim import (Address, Injection, StopCondition, World,
+                       build_world, check_all_or_nothing, extract_metrics,
+                       load_scenario)
 from xchainsim.executor import ABORTED, COMMITTED, LOCK_CONFLICT, OP_FAILED
-from xchainsim.trace import INVOKE, LOCK, SEND, UNLOCK
+from xchainsim.trace import INVOKE, LOCK, OUTCOME, SEND, UNLOCK
 
 
 def run_bundled(name, seed=0, lock_order=None):
@@ -162,7 +160,8 @@ def test_empty_transaction_commits_vacuously():
     world.add_transaction(txn, tick=0)
     trace = world.run(StopCondition(quiesce=True, max_ticks=20))
     assert world.machines[0].outcome == COMMITTED
-    assert world.machines[0].rounds_run == 0
+    [outcome] = [e for e in trace.events if e.kind == OUTCOME]
+    assert outcome.data["rounds"] == 0
     assert trace.initial_vars() == trace.final_vars()
 
 
@@ -202,14 +201,17 @@ def test_executor_methods_require_trusted_caller(two_chain_world):
         assert not outcome.ok and outcome.reason == "NotTrusted"
 
 
-def test_run_action_outside_locked_scope_is_fatal(two_chain_world):
+def test_run_action_outside_locked_scope_is_refused(two_chain_world):
     world = two_chain_world
     chain = world.chains["left"]
     executor = chain.executor_addr
-    with pytest.raises(FatalScenarioError):
-        chain.invoke(executor, executor, "run_action",
-                     [b"tx", b"left/token", b"transfer",
-                      b"alice", b"bob", 1])
+    token = chain.contract(Address("left", "token"))
+    before = dict(token.vars)
+    outcome = chain.invoke(executor, executor, "run_action",
+                           [b"tx", b"left/token", b"transfer",
+                            b"alice", b"bob", 1])
+    assert not outcome.ok and outcome.reason == "ScopeNotLocked"
+    assert token.vars == before
 
 
 def test_adversary_interference_does_not_break_atomicity():

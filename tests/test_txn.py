@@ -1,6 +1,7 @@
 """Transaction model: layer partitioning against an independent
 longest-path oracle, scope computation, and the reference execution."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -130,18 +131,22 @@ def test_scope_union_includes_indirect_reach(swap_world):
 
 
 def test_validation_rejects_same_layer_scope_overlap(swap_world):
-    txn = CrossChainTransaction(
-        "t", [
-            IndexedAction(0, "c1", Address("c1", "tok"), "transfer",
-                          (b"alice", b"bob", 1)),
-            IndexedAction(1, "c1", Address("c1", "tok"), "transfer",
-                          (b"bob", b"alice", 1)),
-        ], set(), Address("c1", "origin"), "c1")
+    def txn_with(prec):
+        return CrossChainTransaction(
+            "t", [
+                IndexedAction(0, "c1", Address("c1", "tok"), "transfer",
+                              (b"alice", b"bob", 1)),
+                IndexedAction(1, "c1", Address("c1", "tok"), "transfer",
+                              (b"bob", b"alice", 1)),
+            ], prec, Address("c1", "origin"), "c1")
+    txn = txn_with(set())
     with pytest.raises(ScenarioError):
         validate_transaction(txn, swap_world)
+    # a transaction is frozen: its layers are computed once
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        txn.prec = {(0, 1)}
     # ordering the two actions makes the overlap legal
-    txn.prec = {(0, 1)}
-    validate_transaction(txn, swap_world)
+    validate_transaction(txn_with({(0, 1)}), swap_world)
 
 
 def test_ideal_execute_success_applies_both_legs(swap_world):
