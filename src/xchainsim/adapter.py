@@ -16,10 +16,17 @@ with an acknowledgement; acknowledgements resolve the matching future.
 An acknowledgement bearing an unknown sequence number is logged as an
 anomaly and otherwise ignored, so a forged ack cannot crash the adapter
 or move any future.
+
+An adapter keeps a future only while it is pending: the ack that
+resolves it drops it, so a late or duplicate ack for it finds no future
+and is logged like any unknown one.  A future names its issuer's
+address, which is how ``query`` still tells the adapter's own resolved
+futures from foreign ones.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,6 +45,7 @@ class UnknownFutureError(Exception):
 
 @dataclass
 class Future:
+    issuer: Address           # the issuing adapter's address
     seq: int
     kind: str                 # "anotify" | "rcall"
     state: str = PENDING
@@ -53,14 +61,14 @@ class Future:
 class Adapter:
     def __init__(self, world, chain: Chain, addr: Address, peer: Address,
                  out_bridge: BridgeId, in_bridge: BridgeId):
-        self.world = world
+        self.world = weakref.proxy(world)   # the world owns its adapters
         self.chain = chain
         self.addr = addr
         self.peer = peer
         self.out_bridge = out_bridge
         self.in_bridge = in_bridge
         self.next_seq = 0
-        self.futures: dict[int, Future] = {}
+        self.futures: dict[int, Future] = {}   # pending ones, by seq
 
     # Sending ------------------------------------------------------------
 
@@ -86,7 +94,9 @@ class Adapter:
         return future
 
     def query(self, future: Future) -> Future:
-        if self.futures.get(future.seq) is not future:
+        # This adapter's own address object: an equal address of another
+        # world's adapter does not pass.
+        if future.issuer is not self.addr:
             raise UnknownFutureError(future.seq)
         return future
 
@@ -127,7 +137,7 @@ class Adapter:
                                 % (dest.canon(), self.peer.chain))
 
     def _new_future(self, kind: str) -> Future:
-        future = Future(seq=self.next_seq, kind=kind)
+        future = Future(self.addr, self.next_seq, kind)
         self.next_seq += 1
         self.futures[future.seq] = future
         self.world.pending_futures += 1
@@ -138,8 +148,8 @@ class Adapter:
         self.world.queue_send(self.out_bridge, self.addr, ack, self.peer)
 
     def _resolve(self, ack: Ack) -> None:
-        future = self.futures.get(ack.seq)
-        if future is None or future.terminal:
+        future = self.futures.pop(ack.seq, None)
+        if future is None:
             self.chain.trace.append(TraceEvent(
                 self.chain.clock, ANOMALY, self.chain.id,
                 {"what": "UnknownAckSeq", "adapter": self.addr,
@@ -154,7 +164,7 @@ class Adapter:
             future.ok = ack.ok
             future.result = ack.result
         self._future_event(future)
-        self.world.notify_resolution(self, future)
+        self.world.resolutions.append(future)
 
     def _future_event(self, future: Future) -> None:
         self.chain.trace.append(TraceEvent(

@@ -13,6 +13,14 @@ sealing it.
 
 All nondeterminism (delays, reorder permutations) draws from one seeded
 generator, so a (scenario, seed) pair fully determines the trace.
+
+The World owns its components: chains, bridges, adapters, executors and
+proposer machines.  A component that needs the world, or an executor
+that needs its chain, holds a weak proxy, and a machine reaches its
+executor through one.  So a world holds no reference cycle, and
+reference counting frees it, trace included, as soon as its last
+outside reference goes; no collector pass has to find it.  A component
+used after its world is gone raises ReferenceError.
 """
 
 from __future__ import annotations
@@ -78,7 +86,7 @@ class World:
         self.machines: list = []
         self.kicks: list = []
         self.pending_futures = 0          # issued by any adapter, not resolved
-        self.resolutions: list = []
+        self.resolutions: list = []       # futures resolved this tick
         self.clock = 0
         self._msg_counter = 0
         self.quiesced = False
@@ -131,20 +139,21 @@ class World:
         self._maybe_pair_adapters(bridge_id)
         return bridge
 
-    def _maybe_pair_adapters(self, bridge_id: BridgeId) -> None:
-        reverse = BridgeId(bridge_id.dst, bridge_id.src, bridge_id.tag)
-        if reverse not in self.bridges:
+    def _maybe_pair_adapters(self, out_id: BridgeId) -> None:
+        """Pair an adapter on each end once both directions exist,
+        reusing the registered bridge ids and one address per end."""
+        reverse = self.bridges.get(BridgeId(out_id.dst, out_id.src,
+                                            out_id.tag))
+        if reverse is None:
             return
-        for out_id in (bridge_id, reverse):
-            in_id = BridgeId(out_id.dst, out_id.src, out_id.tag)
-            addr = Address(out_id.src, adapter_local(out_id.dst, out_id.tag))
-            if addr in self.adapters:
-                continue
-            peer = Address(out_id.dst, adapter_local(out_id.src, out_id.tag))
-            adapter = Adapter(self, self.chains[out_id.src], addr, peer,
-                              out_id, in_id)
-            self.adapters[addr] = adapter
-            self.executors[out_id.src].trusted_adapters.add(addr)
+        in_id = reverse.id
+        here = Address(out_id.src, adapter_local(out_id.dst, out_id.tag))
+        there = Address(out_id.dst, adapter_local(out_id.src, out_id.tag))
+        for out_bridge, in_bridge, addr, peer in (
+                (out_id, in_id, here, there), (in_id, out_id, there, here)):
+            self.adapters[addr] = Adapter(self, self.chains[out_bridge.src],
+                                          addr, peer, out_bridge, in_bridge)
+            self.executors[out_bridge.src].trusted_adapters.add(addr)
 
     def add_transaction(self, txn: CrossChainTransaction,
                         tick: int = 0) -> None:
@@ -187,9 +196,6 @@ class World:
         self.chains[bridge_id.src].record_send(
             (bridge_id, msg_id, sender, dest, payload))
         return msg_id
-
-    def notify_resolution(self, adapter: Adapter, future) -> None:
-        self.resolutions.append((adapter, future))
 
     # Run loop -----------------------------------------------------------
 
@@ -246,9 +252,9 @@ class World:
 
                 pending_resolutions = self.resolutions
                 self.resolutions = []
-                for adapter, future in pending_resolutions:
+                for future in pending_resolutions:
                     if future.owner is not None:
-                        future.owner.on_future(adapter, future)
+                        future.owner.on_future(future)
 
                 for txid in schedule_by_tick.get(tick, ()):
                     txn = self.transactions[txid]

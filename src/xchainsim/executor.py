@@ -16,6 +16,7 @@ refused its lock still receives the unlock request during the abort walk
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from .chain import Address, MethodFailure
@@ -57,8 +58,10 @@ class ExecutorContract:
     """Executor state plus the dispatch handler wired into the chain."""
 
     def __init__(self, world, chain, addr: Address):
-        self.world = world
-        self.chain = chain
+        # Weak: the world owns this executor, and the chain holds its
+        # dispatch method.
+        self.world = weakref.proxy(world)
+        self.chain = weakref.proxy(chain)
         self.addr = addr
         self.trusted_adapters: set = set()
         self.active: Optional[ProposerMachine] = None
@@ -90,7 +93,7 @@ class ExecutorContract:
             raise MethodFailure("UnknownTransaction")
         if self.active is not None:
             raise MethodFailure("ExecutorBusy")
-        machine = ProposerMachine(self.world, self, txn)
+        machine = ProposerMachine(self, txn)
         self.active = machine
         self.world.machines.append(machine)
         self.world.kicks.append(machine)
@@ -152,11 +155,12 @@ class ExecutorContract:
 class ProposerMachine:
     """Event-driven protocol state for one proposed transaction."""
 
-    def __init__(self, world, executor: ExecutorContract,
+    def __init__(self, executor: ExecutorContract,
                  txn: CrossChainTransaction):
-        self.world = world
-        self.executor = executor
+        # Weak: the executor refers to its active machine.
+        self.executor = weakref.proxy(executor)
         self.txn = txn
+        world = executor.world
         if world.lock_order == "declared":
             self.chain_order = txn.chains_declared()
         else:
@@ -167,22 +171,21 @@ class ProposerMachine:
         self.round_no = -1
         self.contacted: list = []           # chains asked to lock, in order
         self.unlock_queue: list = []
-        self.awaiting: dict = {}            # (adapter addr, seq) -> purpose
+        self.awaiting: dict = {}    # (issuer, seq) -> "lock"|"action"|"unlock"
 
     # Engine entry points -------------------------------------------------
 
     def start(self) -> None:
         self._advance()
 
-    def on_future(self, adapter, future) -> None:
-        key = (adapter.addr, future.seq)
-        purpose = self.awaiting.pop(key, None)
-        if purpose is None:
+    def on_future(self, future) -> None:
+        kind = self.awaiting.pop((future.issuer, future.seq), None)
+        if kind is None:
             return
         if not future.ok:
-            if purpose[0] == "lock":
+            if kind == "lock":
                 self._begin_abort(LOCK_CONFLICT)
-            elif purpose[0] == "action":
+            elif kind == "action":
                 self.reason = OP_FAILED
         if not self.awaiting:
             self._advance()
@@ -226,8 +229,7 @@ class ProposerMachine:
                     if not outcome.ok:
                         self._begin_abort(LOCK_CONFLICT)
                 else:
-                    self._remote_call(chain_id, "lock_scope", params,
-                                      ("lock", chain_id))
+                    self._remote_call(chain_id, "lock_scope", params, "lock")
             elif self.phase == EXECUTING:
                 # A round just completed.
                 if self.reason is not None:
@@ -248,7 +250,7 @@ class ProposerMachine:
                     self._local_call("unlock_scope", params)
                 else:
                     self._remote_call(chain_id, "unlock_scope", params,
-                                      ("unlock", chain_id))
+                                      "unlock")
             else:
                 return
 
@@ -262,7 +264,7 @@ class ProposerMachine:
                     self.reason = OP_FAILED
             else:
                 self._remote_call(action.chain, "run_action", params,
-                                  ("action", action.action_id))
+                                  "action")
 
     def _begin_abort(self, reason: str) -> None:
         self.reason = reason
@@ -286,9 +288,10 @@ class ProposerMachine:
                             params, txid=self.txn.txid)
 
     def _remote_call(self, chain_id: str, method: str, params: list,
-                     purpose: tuple) -> None:
-        adapter = self.world.adapter_between(self.executor.chain.id, chain_id)
-        remote_exec = self.world.chains[chain_id].executor_addr
+                     kind: str) -> None:
+        world = self.executor.world
+        adapter = world.adapter_between(self.executor.chain.id, chain_id)
+        remote_exec = world.chains[chain_id].executor_addr
         future = adapter.rcall(self.executor.addr, remote_exec, method, params)
         future.owner = self
-        self.awaiting[(adapter.addr, future.seq)] = purpose
+        self.awaiting[(future.issuer, future.seq)] = kind

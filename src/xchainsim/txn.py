@@ -59,12 +59,6 @@ class CrossChainTransaction:
         object.__setattr__(self, "layers", tuple(
             tuple(by_id[i] for i in ids) for ids in layer_partition(self)))
 
-    def action(self, action_id: int) -> IndexedAction:
-        for a in self.actions:
-            if a.action_id == action_id:
-                return a
-        raise KeyError(action_id)
-
     def chains(self) -> list:
         """Participating chains in canonical (sorted id) order."""
         return sorted({a.chain for a in self.actions})

@@ -160,3 +160,22 @@ def test_unknown_ack_seq_is_anomaly_and_ignored(notify_world):
     anomalies = [e for e in world.trace.events if e.kind == ANOMALY]
     assert anomalies and anomalies[0].data["seq"] == 555
     assert future.state == PENDING
+
+
+def test_resolved_future_is_dropped_and_still_answered(notify_world):
+    world = notify_world
+    from xchainsim.bridge import Ack, BridgeMessage
+    adapter = world.adapter_between("c", "d")
+    future = adapter.anotify(Address("c", "caller"), b"x",
+                             Address("d", "inbox"))
+    assert adapter.futures == {future.seq: future}
+    run_quiet(world)
+    assert adapter.futures == {} and world.pending_futures == 0
+    assert adapter.query(future).state == DELIVERED
+    # a duplicate ack for it is an unknown sequence number, as before
+    late = BridgeMessage(999, Ack(seq=future.seq, ok=False), adapter.addr, 0)
+    adapter.on_recv(late)
+    anomalies = [e for e in world.trace.events if e.kind == ANOMALY]
+    assert [(e.data["what"], e.data["seq"]) for e in anomalies] == \
+        [("UnknownAckSeq", future.seq)]
+    assert future.state == DELIVERED and future.ok

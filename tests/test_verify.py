@@ -11,7 +11,7 @@ from xchainsim import (Address, BudgetExceededError, Injection,
                        check_all_or_nothing, check_secure_transfer,
                        check_strict_serializability, extract_metrics,
                        load_scenario, parse_scenario)
-from xchainsim import layer_partition, verify
+from xchainsim import verify
 from xchainsim.bridge import ADVERSARIAL, Ack, BridgeId
 from xchainsim.trace import INVOKE, LOCK, OUTCOME, UNLOCK, ContractSnapshot
 from xchainsim.verify import (ALL_OR_NOTHING, EXACTLY_ONCE, LIVENESS, SAFETY,
@@ -411,9 +411,8 @@ def witness_rules(trace, txns):
 
     layer = {}           # action invoke index -> its action's layer
     for txn in txns:
-        unmatched = [(txn.action(i), n)
-                     for n, ids in enumerate(layer_partition(txn))
-                     for i in ids]
+        unmatched = [(action, n) for n, actions in enumerate(txn.layers)
+                     for action in actions]
         for index, e in enumerate(events):
             if e.kind != INVOKE or e.data.get("txid") != txn.txid:
                 continue
