@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .adapter import Adapter
-from .bridge import Bridge, BridgeId, BridgeMessage, BridgePolicy
+from .bridge import (ADVERSARIAL, Bridge, BridgeId, BridgeMessage,
+                     BridgePolicy)
 from .chain import Address, Chain, Contract, ScenarioError
 from .executor import ExecutorContract
 from .methods import build_contract
@@ -38,6 +39,8 @@ from .trace import ADVERSARY, ANOMALY, SEND, ContractSnapshot, Trace, TraceEvent
 from .txn import CrossChainTransaction, validate_transaction
 
 EXECUTOR_LOCAL = "exec"
+CHAIN_OPS = ("invoke", "lock", "unlock")
+BRIDGE_OPS = ("forge", "drop", "corrupt")
 
 
 @dataclass
@@ -167,6 +170,24 @@ class World:
         self.tx_schedule.append((tick, txn.txid))
 
     def add_injection(self, injection: Injection) -> None:
+        """Schedule an adversary action.  Its chain or bridge must exist,
+        and a bridge op needs an adversarial bridge; its target contract
+        need not exist, since a refused attempt is still an attempt."""
+        where = "adversary %s at tick %d" % (injection.op, injection.tick)
+        if injection.op in CHAIN_OPS:
+            if injection.chain not in self.chains:
+                raise ScenarioError("%s: unknown chain %r"
+                                    % (where, injection.chain))
+        elif injection.op in BRIDGE_OPS:
+            bridge = self.bridges.get(injection.bridge)
+            if bridge is None:
+                raise ScenarioError("%s: unknown bridge %s"
+                                    % (where, injection.bridge.canon()))
+            if bridge.policy.mode != ADVERSARIAL:
+                raise ScenarioError("%s: bridge %s is not adversarial"
+                                    % (where, injection.bridge.canon()))
+        else:
+            raise ScenarioError("unknown injection op %r" % injection.op)
         self.injections.append(injection)
 
     # Wiring helpers ---------------------------------------------------------
@@ -349,7 +370,7 @@ class World:
                                           "msgid": message.msg_id,
                                           "fake_block": injection.fake_block,
                                           "payload": injection.payload}))
-        elif injection.op in ("drop", "corrupt"):
+        else:                                   # drop or corrupt
             bridge = self.bridges[injection.bridge]
             msg_id = injection.msg_id
             if msg_id is None and injection.queue_index is not None:
@@ -370,8 +391,6 @@ class World:
                                           "bridge": injection.bridge,
                                           "msgid": msg_id,
                                           "payload": injection.payload}))
-        else:
-            raise ScenarioError("unknown injection op %r" % injection.op)
 
     # Contract state -------------------------------------------------------
 

@@ -6,12 +6,20 @@ proposer; for transactions proposed elsewhere it acts as a participant,
 serving checkpoint/lock, action execution, and unlock requests that
 arrive through the chain's bridge adapters.
 
-The proposer walks the participating chains in lock order, acquiring
-each chain's scope before contacting the next; executes the layer plan
-round by round with one remote call per action; and finally unlocks in
-reverse order, restoring checkpoints when anything failed.  A chain that
-refused its lock still receives the unlock request during the abort walk
-(a no-op for it), which keeps dangling-lock cleanup unconditional.
+The proposer runs the protocol as one generator, in the paper's order:
+it locks each participating chain's scope in lock order, acquiring one
+before contacting the next; executes the layer plan round by round with
+one call per action; unlocks in reverse order, restoring checkpoints
+when anything failed; and emits the outcome event.  It yields after each
+batch of calls and is resumed with whether all of them succeeded: at
+once when every call ran on its own chain, else when the batch's last
+remote future resolves.  A chain that refused its lock still receives
+the unlock request (a no-op for it), which keeps dangling-lock cleanup
+unconditional.
+
+The generator reaches its machine only through a weak proxy, so a
+transaction left unfinished (a dropped message) forms no reference
+cycle and its world is still freed by reference counting.
 """
 
 from __future__ import annotations
@@ -153,42 +161,34 @@ class ExecutorContract:
 
 
 class ProposerMachine:
-    """Event-driven protocol state for one proposed transaction."""
+    """One proposed transaction: the protocol generator and the state
+    that the engine, the CLI and the tests read."""
 
     def __init__(self, executor: ExecutorContract,
                  txn: CrossChainTransaction):
         # Weak: the executor refers to its active machine.
         self.executor = weakref.proxy(executor)
         self.txn = txn
-        world = executor.world
-        if world.lock_order == "declared":
-            self.chain_order = txn.chains_declared()
-        else:
-            self.chain_order = txn.chains()
-        self.scopes = {c: scope_union(txn, world, c) for c in self.chain_order}
         self.phase = LOCKING
         self.reason: Optional[str] = None   # set exactly when it fails
         self.round_no = -1
-        self.contacted: list = []           # chains asked to lock, in order
-        self.unlock_queue: list = []
-        self.awaiting: dict = {}    # (issuer, seq) -> "lock"|"action"|"unlock"
+        self._waiting = 0        # remote futures of this batch not resolved
+        self._batch_ok = True    # every call of this batch succeeded so far
+        # Weak: a suspended generator must not keep its machine alive.
+        self._steps = self._protocol(weakref.proxy(self))
 
     # Engine entry points -------------------------------------------------
 
     def start(self) -> None:
-        self._advance()
+        self._resume(None)
 
     def on_future(self, future) -> None:
-        kind = self.awaiting.pop((future.issuer, future.seq), None)
-        if kind is None:
-            return
-        if not future.ok:
-            if kind == "lock":
-                self._begin_abort(LOCK_CONFLICT)
-            elif kind == "action":
-                self.reason = OP_FAILED
-        if not self.awaiting:
-            self._advance()
+        # The adapter pops a future as it resolves it, so each of this
+        # batch's futures arrives here exactly once.
+        self._batch_ok = self._batch_ok and future.ok
+        self._waiting -= 1
+        if not self._waiting:
+            self._resume(self._batch_ok)
 
     @property
     def done(self) -> bool:
@@ -200,98 +200,84 @@ class ProposerMachine:
             return None
         return ABORTED if self.reason is not None else COMMITTED
 
-    # Phases --------------------------------------------------------------
+    # The protocol --------------------------------------------------------
 
-    def _advance(self) -> None:
-        """Drive the machine until it blocks on a future or reaches Done.
-
-        Only called with no futures outstanding; every issuing helper
-        returns control here, so the loop is the single place phases
-        change hands.
-        """
-        while not self.awaiting:
-            if self.phase == LOCKING:
-                if len(self.contacted) == len(self.chain_order):
-                    if not self.txn.layers:   # vacuous transaction
-                        self.phase = UNLOCKING
-                        self.unlock_queue = list(reversed(self.contacted))
-                        continue
-                    self.phase = EXECUTING
-                    self.round_no = 0
-                    self._issue_round()
-                    continue
-                chain_id = self.chain_order[len(self.contacted)]
-                self.contacted.append(chain_id)
-                params = [self.txn.txid.encode()] + \
-                    [encode_address(a) for a in self.scopes[chain_id]]
-                if chain_id == self.executor.chain.id:
-                    outcome = self._local_call("lock_scope", params)
-                    if not outcome.ok:
-                        self._begin_abort(LOCK_CONFLICT)
-                else:
-                    self._remote_call(chain_id, "lock_scope", params, "lock")
-            elif self.phase == EXECUTING:
-                # A round just completed.
-                if self.reason is not None:
-                    self._begin_abort(self.reason)
-                elif self.round_no + 1 < len(self.txn.layers):
-                    self.round_no += 1
-                    self._issue_round()
-                else:
-                    self.phase = UNLOCKING
-                    self.unlock_queue = list(reversed(self.contacted))
-            elif self.phase == UNLOCKING:
-                if not self.unlock_queue:
-                    self._finish()
+    def _resume(self, ok) -> None:
+        """Send `ok` to the protocol and keep it running while each batch
+        it issues completes at once, until it waits on a remote future or
+        ends."""
+        try:
+            while True:
+                self._batch_ok = True
+                self._steps.send(ok)
+                if self._waiting:
                     return
-                chain_id = self.unlock_queue.pop(0)
-                params = [self.txn.txid.encode(), self.reason is not None]
-                if chain_id == self.executor.chain.id:
-                    self._local_call("unlock_scope", params)
-                else:
-                    self._remote_call(chain_id, "unlock_scope", params,
-                                      "unlock")
-            else:
-                return
+                ok = self._batch_ok
+        except StopIteration:
+            del self._steps     # a finished generator still holds its frame
 
-    def _issue_round(self) -> None:
-        for action in self.txn.layers[self.round_no]:
-            params = [self.txn.txid.encode(), encode_address(action.target),
-                      action.method.encode()] + list(action.params)
-            if action.chain == self.executor.chain.id:
-                outcome = self._local_call("run_action", params)
-                if not outcome.ok:
-                    self.reason = OP_FAILED
-            else:
-                self._remote_call(action.chain, "run_action", params,
-                                  "action")
+    @staticmethod
+    def _protocol(m):
+        """Lock, run the rounds, unlock, emit the outcome.
 
-    def _begin_abort(self, reason: str) -> None:
-        self.reason = reason
-        self.phase = UNLOCKING
-        self.unlock_queue = list(reversed(self.contacted))
-
-    def _finish(self) -> None:
-        self.phase = DONE
-        if self.executor.active is self:
-            self.executor.active = None
-        chain = self.executor.chain
-        data = {"txid": self.txn.txid, "outcome": self.outcome,
-                "rounds": self.round_no + 1}
-        if self.reason is not None:
-            data["reason"] = self.reason
+        `m` is a weak proxy to the machine.  Each `yield` ends a batch of
+        calls and returns whether all of them succeeded.  A method read
+        through `m` is bound to the machine itself, so the helpers are
+        plain methods: a suspended sub-generator would pin the machine.
+        """
+        txn, executor = m.txn, m.executor
+        world, chain = executor.world, executor.chain
+        txid = txn.txid.encode()
+        if world.lock_order == "declared":
+            order = txn.chains_declared()
+        else:
+            order = txn.chains()
+        contacted = []
+        for chain_id in order:
+            contacted.append(chain_id)
+            m._call(chain_id, "lock_scope", [txid] + [
+                encode_address(a) for a in scope_union(txn, world, chain_id)])
+            if not (yield):
+                m.reason = LOCK_CONFLICT
+                break
+        else:
+            m.phase = EXECUTING
+            for round_no, layer in enumerate(txn.layers):
+                m.round_no = round_no
+                for action in layer:
+                    m._call(action.chain, "run_action",
+                            [txid, encode_address(action.target),
+                             action.method.encode(), *action.params])
+                if not (yield):
+                    m.reason = OP_FAILED
+                    break
+        m.phase = UNLOCKING
+        for chain_id in reversed(contacted):
+            m._call(chain_id, "unlock_scope", [txid, m.reason is not None])
+            yield
+        m.phase = DONE
+        executor.active = None
+        data = {"txid": txn.txid, "outcome": m.outcome,
+                "rounds": m.round_no + 1}
+        if m.reason is not None:
+            data["reason"] = m.reason
         chain.trace.append(TraceEvent(chain.clock, OUTCOME, chain.id, data))
 
-    def _local_call(self, method: str, params: list):
-        chain = self.executor.chain
-        return chain.invoke(self.executor.addr, self.executor.addr, method,
-                            params, txid=self.txn.txid)
-
-    def _remote_call(self, chain_id: str, method: str, params: list,
-                     kind: str) -> None:
-        world = self.executor.world
-        adapter = world.adapter_between(self.executor.chain.id, chain_id)
-        remote_exec = world.chains[chain_id].executor_addr
-        future = adapter.rcall(self.executor.addr, remote_exec, method, params)
+    def _call(self, chain_id: str, method: str, params: list) -> None:
+        """Call the executor on `chain_id` as part of the current batch:
+        directly on the proposer's own chain, else by rcall, counted in
+        `_waiting` until its future resolves."""
+        executor = self.executor
+        if chain_id == executor.chain.id:
+            outcome = executor.chain.invoke(executor.addr, executor.addr,
+                                            method, params,
+                                            txid=self.txn.txid)
+            self._batch_ok = self._batch_ok and outcome.ok
+            return
+        world = executor.world
+        adapter = world.adapter_between(executor.chain.id, chain_id)
+        future = adapter.rcall(executor.addr,
+                               world.chains[chain_id].executor_addr,
+                               method, params)
         future.owner = self
-        self.awaiting[(future.issuer, future.seq)] = kind
+        self._waiting += 1

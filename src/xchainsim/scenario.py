@@ -4,8 +4,10 @@ A scenario file describes chains with their contracts, the bridges
 between them, the cross-chain transactions to propose, and an optional
 adversary script of timed injections.  `load_scenario` parses and fully
 validates a file; `build_world` turns the result plus a seed into a
-runnable World.  Bundled scenarios under ``xchainsim/scenarios/`` can be
-referenced by bare name instead of a path.
+runnable World, and rejects an adversary entry that names a missing
+chain or bridge, or a bridge that is not adversarial.  Bundled scenarios
+under ``xchainsim/scenarios/`` can be referenced by bare name instead of
+a path.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import yaml
 
 from .bridge import Ack, Anotify, BridgeId, Rcall, HONEST, ADVERSARIAL
 from .chain import Address, ScenarioError
-from .engine import Injection, StopCondition, World
+from .engine import BRIDGE_OPS, CHAIN_OPS, Injection, StopCondition, World
 from .methods import library_kinds, token_init
 from .txn import CrossChainTransaction, IndexedAction
 
@@ -77,7 +79,7 @@ class Scenario:
     chains: list = field(default_factory=list)
     bridges: list = field(default_factory=list)
     transactions: list = field(default_factory=list)
-    adversary: list = field(default_factory=list)   # raw dicts
+    adversary: list = field(default_factory=list)   # of Injection
 
 
 def _require(cond: bool, where: str, message: str) -> None:
@@ -212,7 +214,7 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
         where = "%s.adversary[%d]" % (name, i)
         _require("op" in inj_raw, where, "missing op")
         _require("tick" in inj_raw, where, "missing tick")
-        scenario.adversary.append(dict(inj_raw))
+        scenario.adversary.append(_parse_injection(inj_raw, where))
 
     return scenario
 
@@ -243,17 +245,15 @@ def build_world(scenario: Scenario, seed: int = 0,
             originator=Address(t.proposer, t.originator),
             proposer_chain=t.proposer)
         world.add_transaction(txn, tick=t.tick)
-    for i, inj_raw in enumerate(scenario.adversary):
-        world.add_injection(_parse_injection(scenario, inj_raw,
-                                             "%s.adversary[%d]"
-                                             % (scenario.name, i)))
+    for injection in scenario.adversary:
+        world.add_injection(injection)
     return world
 
 
-def _parse_injection(scenario: Scenario, raw: dict, where: str) -> Injection:
+def _parse_injection(raw: dict, where: str) -> Injection:
     op = str(raw["op"])
     tick = int(raw["tick"])
-    if op in ("invoke", "lock", "unlock"):
+    if op in CHAIN_OPS:
         for key in ("chain", "caller", "target"):
             _require(key in raw, where, "missing %s" % key)
         chain = str(raw["chain"])
@@ -268,7 +268,7 @@ def _parse_injection(scenario: Scenario, raw: dict, where: str) -> Injection:
             injection.params = [_value(p, where)
                                 for p in raw.get("params", [])]
         return injection
-    if op in ("forge", "drop", "corrupt"):
+    if op in BRIDGE_OPS:
         for key in ("src", "dst"):
             _require(key in raw, where, "missing %s" % key)
         bridge = BridgeId(str(raw["src"]), str(raw["dst"]),

@@ -520,27 +520,32 @@ class MetricsReport:
 
 
 def extract_metrics(trace: Trace) -> MetricsReport:
+    """Per-chain message and operation counts, and each transaction's
+    outcome, from one pass over the events."""
     report = MetricsReport()
-    chains = sorted({s.chain for s in trace.initial} |
-                    {e.chain for e in trace.events if e.chain})
+    # chain -> [xc_msgs, tx_count, op_cost]
+    counts = {s.chain: [0, 0, 0] for s in trace.initial}
     proposer_chains = set()
     for event in trace.events:
-        if event.kind == OUTCOME:
-            proposer_chains.add(event.chain)
+        kind, chain_id = event.kind, event.chain
+        if kind == OUTCOME:
+            proposer_chains.add(chain_id)
             report.per_transaction[event.data["txid"]] = {
                 "outcome": event.data["outcome"],
                 "reason": event.data.get("reason"),
                 "rounds": event.data["rounds"],
             }
-    for chain_id in chains:
-        xc_msgs = sum(1 for e in trace.events
-                      if e.kind == SEND and e.chain == chain_id)
-        tx_count = sum(1 for e in trace.events
-                       if e.kind == INVOKE and e.chain == chain_id
-                       and e.data["depth"] == 0)
-        op_cost = sum(1 for e in trace.events
-                      if e.chain == chain_id
-                      and e.kind in (INVOKE, LOCK, UNLOCK))
+        if not chain_id:
+            continue
+        row = counts.setdefault(chain_id, [0, 0, 0])
+        if kind == SEND:
+            row[0] += 1
+        elif kind in (INVOKE, LOCK, UNLOCK):
+            row[2] += 1
+            if kind == INVOKE and event.data["depth"] == 0:
+                row[1] += 1
+    for chain_id in sorted(counts):
+        xc_msgs, tx_count, op_cost = counts[chain_id]
         report.per_chain[chain_id] = {
             "role": "proposer" if chain_id in proposer_chains
             else "participant",

@@ -2,8 +2,23 @@
 
 import pytest
 
-from xchainsim import FatalScenarioError, World
+from xchainsim import (FatalScenarioError, ValidationError, World,
+                       parse_scenario)
 from xchainsim.cli import main
+
+BAD_ADVERSARY_SCENARIO = """\
+name: bad-adversary
+chains:
+  - id: a
+    contracts: [{local: token, kind: token, owner: alice}]
+  - id: b
+    contracts: [{local: token, kind: token, owner: bob}]
+bridges:
+  - {src: a, dst: b}
+  - {src: b, dst: a}
+adversary:
+  - %s
+"""
 
 
 def test_run_writes_trace_and_prints_outcome(tmp_path, capsys):
@@ -115,3 +130,28 @@ def test_sweep_budget_exceeded_names_seed_and_exits_3(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("budget exceeded: at seed 5: ")
+
+
+@pytest.mark.parametrize("entry,message", [
+    ("{tick: 1, op: drop, src: a, dst: c, index: 0}",
+     "adversary drop at tick 1: unknown bridge a>c#0"),
+    ("{tick: 1, op: invoke, chain: z, caller: eve, target: token, "
+     "method: incr}", "adversary invoke at tick 1: unknown chain 'z'"),
+    ("{tick: 1, op: forge, src: a, dst: b, payload: {type: ack}}",
+     "adversary forge at tick 1: bridge a>b#0 is not adversarial"),
+], ids=["unknown-bridge", "unknown-chain", "honest-bridge"])
+def test_check_bad_adversary_entry_exits_2(entry, message, tmp_path,
+                                           capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(BAD_ADVERSARY_SCENARIO % entry)
+    assert main(["check", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
+def test_unknown_adversary_op_is_rejected_when_parsed():
+    raw = {"chains": [{"id": "a"}],
+           "adversary": [{"tick": 1, "op": "explode"}]}
+    with pytest.raises(ValidationError, match=r"adversary\[0\]: unknown op"):
+        parse_scenario(raw, default_name="bad")

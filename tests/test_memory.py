@@ -1,11 +1,14 @@
 """What a run keeps alive: a world holds no reference cycle, so dropping
-it frees it at once by reference counting, and an adapter keeps only its
-pending futures.
+it frees it at once by reference counting, an adapter keeps only its
+pending futures, and what a run holds besides its trace grows no faster
+than its transactions.
 
 The cyclic collector is switched off around the work in each test, so
 anything freed here was freed by reference counting alone."""
 
 import gc
+import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -13,7 +16,7 @@ import pytest
 from xchainsim import (Address, MissingOutcomeError, build_world,
                        bundled_scenarios, check_all_or_nothing,
                        check_secure_transfer, check_strict_serializability,
-                       load_scenario)
+                       load_scenario, parse_scenario)
 from xchainsim.adapter import PENDING
 from xchainsim.trace import FUTURE
 
@@ -114,3 +117,60 @@ def test_unfinished_run_keeps_exactly_the_pending_futures():
             for seq in a.futures}
     assert pending and kept == pending
     assert world.pending_futures == len(pending)
+
+
+def swaps(k: int, t: int, seed: int) -> dict:
+    """k fully bridged chains and t two-chain token swaps, one every five
+    ticks, each between a pair of chains drawn from the seed."""
+    rng = random.Random(seed)
+    chains = ["c%d" % i for i in range(k)]
+    transactions = []
+    for i in range(t):
+        a, b = rng.sample(chains, 2)
+        transactions.append({
+            "txid": "s%d" % i, "proposer": a, "tick": 5 * i, "actions": [
+                {"chain": c, "target": "token", "method": "transfer",
+                 "params": [src, dst, 1]}
+                for c, src, dst in ((a, "alice", "bob"),
+                                    (b, "bob", "alice"))]})
+    return {"name": "swaps",
+            "stop": {"quiesce": True, "max_ticks": 5 * t + 400},
+            "chains": [{"id": c, "contracts": [
+                {"local": "token", "kind": "token", "owner": "alice",
+                 "init": {"alice": 10 ** 6, "bob": 10 ** 6}}]}
+                for c in chains],
+            "bridges": [{"src": a, "dst": b, "max_delay": 3,
+                         "reorder": True}
+                        for a in chains for b in chains if a != b],
+            "transactions": transactions}
+
+
+def held_bytes_per_transaction(t: int) -> float:
+    """Bytes that building and running an honest K=8 world of t swaps
+    leaves allocated once the trace's events are cleared, per swap."""
+    scenario = parse_scenario(swaps(8, t, seed=0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        world = build_world(scenario, seed=0)
+        world.run(scenario.stop)
+        assert world.quiesced
+        world.trace.events.clear()
+        return (tracemalloc.get_traced_memory()[0] - before) / t
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_beside_the_trace_is_flat_per_transaction():
+    # Measured on CPython 3.11: about 2.1 KB per swap at T=250 and 1.7 KB
+    # at T=1000 (the world's fixed part is spread thinner), a ratio of
+    # 0.82; seeds 0-3 gave 0.82-0.98.  The 1.1 bound fails a run whose
+    # memory per transaction grows with its length.
+    held = {}
+
+    def work():
+        for t in (250, 1000):
+            held[t] = held_bytes_per_transaction(t)
+
+    assert cyclic_garbage(work) == 0
+    assert held[1000] <= 1.1 * held[250], held

@@ -1,11 +1,12 @@
 """Two-phase protocol behavior: the swap message narrative, abort paths,
 symmetric conflicts, executor authorization, and adversary resistance."""
 
-from xchainsim import (Address, Injection, StopCondition, World,
-                       build_world, check_all_or_nothing, extract_metrics,
-                       load_scenario)
+from xchainsim import (Address, CrossChainTransaction, IndexedAction,
+                       Injection, StopCondition, World, build_world,
+                       check_all_or_nothing, extract_metrics, load_scenario)
+from xchainsim.adapter import PENDING
 from xchainsim.executor import ABORTED, COMMITTED, LOCK_CONFLICT, OP_FAILED
-from xchainsim.trace import INVOKE, LOCK, OUTCOME, SEND, UNLOCK
+from xchainsim.trace import FUTURE, INVOKE, LOCK, OUTCOME, SEND, UNLOCK
 
 
 def run_bundled(name, seed=0, lock_order=None):
@@ -134,7 +135,6 @@ def test_sequential_transactions_share_one_executor():
                        init={"bal:x": 10, "bal:y": 0})
     world.add_bridge("a", "b", max_delay=1)
     world.add_bridge("b", "a", max_delay=1)
-    from xchainsim import CrossChainTransaction, IndexedAction
     for i, tick in enumerate((0, 30)):
         txn = CrossChainTransaction(
             "t%d" % i,
@@ -154,7 +154,6 @@ def test_empty_transaction_commits_vacuously():
     world = World(seed=0)
     world.add_chain("a")
     world.add_contract("a", "tok", "token", owner="o", init={"bal:x": 3})
-    from xchainsim import CrossChainTransaction
     txn = CrossChainTransaction("empty", [], set(), Address("a", "user"),
                                 "a")
     world.add_transaction(txn, tick=0)
@@ -165,6 +164,58 @@ def test_empty_transaction_commits_vacuously():
     assert trace.initial_vars() == trace.final_vars()
 
 
+def test_local_failure_waits_for_the_remote_action_of_its_round(
+        two_chain_world):
+    world = two_chain_world
+    # One round: the proposer's own leg overdraws, the remote leg runs.
+    world.add_transaction(CrossChainTransaction(
+        "t",
+        [IndexedAction(0, "left", Address("left", "token"), "transfer",
+                       (b"eve", b"bob", 1)),
+         IndexedAction(1, "right", Address("right", "token"), "transfer",
+                       (b"bob", b"alice", 7))],
+        set(), Address("left", "alice"), "left"))
+    trace = world.run(StopCondition(quiesce=True, max_ticks=100))
+    machine = world.machines[0]
+    assert (machine.outcome, machine.reason) == (ABORTED, OP_FAILED)
+    [outcome] = [e for e in trace.events if e.kind == OUTCOME]
+    assert outcome.data["rounds"] == 1
+    remote = [e for e in trace.events if e.chain == "right"
+              and e.kind == INVOKE and e.data["method"] == "transfer"]
+    assert len(remote) == 1 and remote[0].data["ok"]
+    # The unlock request leaves only after the run_action ack resolved.
+    calls = [e for e in trace.events if e.kind == SEND
+             and e.chain == "left"]
+    assert [e.data["payload"].method for e in calls] == \
+        ["lock_scope", "run_action", "unlock_scope"]
+    run_action_seq = calls[1].data["payload"].seq
+    resolved = next(i for i, e in enumerate(trace.events)
+                    if e.kind == FUTURE and e.data["seq"] == run_action_seq
+                    and e.data["state"] != PENDING)
+    assert resolved < trace.events.index(calls[2])
+    assert trace.final_vars() == trace.initial_vars()
+
+
+def test_transaction_on_its_proposer_chain_commits_in_its_propose_tick():
+    world = World(seed=0)
+    world.add_chain("a")
+    world.add_contract("a", "tok", "token", owner="o",
+                       init={"bal:x": 10, "bal:y": 0})
+    token = Address("a", "tok")
+    world.add_transaction(CrossChainTransaction(
+        "local",
+        [IndexedAction(0, "a", token, "transfer", (b"x", b"y", 3)),
+         IndexedAction(1, "a", token, "transfer", (b"y", b"x", 1))],
+        {(0, 1)}, Address("a", "user"), "a"), tick=3)
+    trace = world.run(StopCondition(quiesce=True, max_ticks=20))
+    assert world.machines[0].outcome == COMMITTED
+    [outcome] = [e for e in trace.events if e.kind == OUTCOME]
+    assert outcome.tick == 3 and outcome.data["rounds"] == 2
+    assert not any(e.kind in (SEND, FUTURE) for e in trace.events)
+    assert world.chains["a"].contract(token).vars == \
+        {"bal:x": 8, "bal:y": 2}
+
+
 def test_propose_while_busy_is_executor_busy():
     world = World(seed=5)
     world.add_chain("a")
@@ -173,7 +224,6 @@ def test_propose_while_busy_is_executor_busy():
     world.add_contract("b", "tok", "token", owner="o", init={"bal:x": 10})
     world.add_bridge("a", "b", max_delay=3)
     world.add_bridge("b", "a", max_delay=3)
-    from xchainsim import CrossChainTransaction, IndexedAction
     for i in range(2):
         txn = CrossChainTransaction(
             "t%d" % i,
