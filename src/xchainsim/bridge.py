@@ -11,6 +11,7 @@ drop, and corrupt injections for negative testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .chain import Address, ScenarioError
@@ -24,18 +25,29 @@ class NotAdversarialBridge(Exception):
     """Injection attempted against an honest bridge."""
 
 
-@dataclass(frozen=True, order=True)
-class BridgeId:
-    src: str
-    dst: str
-    tag: int = 0
+class BridgeId(tuple):
+    """A bridge's id, the triple (src, dst, tag).  A tuple, like Address,
+    so hashing, equality and ordering run in C."""
+
+    def __new__(cls, src: str, dst: str, tag: int = 0):
+        return tuple.__new__(cls, (src, dst, tag))
+
+    src = property(itemgetter(0))
+    dst = property(itemgetter(1))
+    tag = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "BridgeId(src=%r, dst=%r, tag=%r)" % self
 
     def canon(self) -> str:
         return self._text
 
     @memoized
     def _text(self) -> str:
-        return "%s>%s#%d" % (self.src, self.dst, self.tag)
+        return "%s>%s#%d" % self
 
 
 # Bridge payloads.  A payload is recorded in the trace at its send and at

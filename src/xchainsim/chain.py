@@ -14,6 +14,7 @@ empty block without sealing it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .trace import INVOKE, LOCK, UNLOCK, SEAL, Trace, TraceEvent, memoized
@@ -41,19 +42,30 @@ class MethodFailure(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True, order=True)
-class Address:
-    """A contract's address.  Frozen, so its canonical text is computed
-    once per object (see the trace module docstring)."""
-    chain: str
-    local: str
+class Address(tuple):
+    """A contract's address, the pair (chain, local).  A tuple, so
+    hashing, equality and ordering run in C, and immutable, so its
+    canonical text is computed once per object (see the trace module
+    docstring)."""
+
+    def __new__(cls, chain: str, local: str):
+        return tuple.__new__(cls, (chain, local))
+
+    chain = property(itemgetter(0))
+    local = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "Address(chain=%r, local=%r)" % self
 
     def canon(self) -> str:
         return self._text
 
     @memoized
     def _text(self) -> str:
-        return "%s/%s" % (self.chain, self.local)
+        return "%s/%s" % self
 
     @staticmethod
     def parse(text: str) -> "Address":
@@ -204,7 +216,8 @@ class Chain:
     def lock(self, caller: Address, target: Address, txid=None) -> InvokeOutcome:
         contract = self.contracts.get(target)
         if contract is None:
-            raise ScenarioError("lock of unknown contract %s" % target.canon())
+            return self._lock_event(caller, target, False, "UnknownTarget",
+                                    txid)
         if contract.locked:
             return self._lock_event(caller, target, False, "AlreadyLocked", txid)
         if caller not in contract.trusted_executors:
@@ -217,7 +230,8 @@ class Chain:
                txid=None) -> InvokeOutcome:
         contract = self.contracts.get(target)
         if contract is None:
-            raise ScenarioError("unlock of unknown contract %s" % target.canon())
+            return self._unlock_event(caller, target, failure, False,
+                                      "UnknownTarget", txid)
         if not contract.locked or caller != contract.locked_by:
             return self._unlock_event(caller, target, failure, False,
                                       "NotLockOwner", txid)
@@ -226,22 +240,6 @@ class Chain:
         contract.locked_by = None
         contract.checkpoint = None
         return self._unlock_event(caller, target, failure, True, None, txid)
-
-    def add_executor(self, caller: Address, target: Address,
-                     executor: Address) -> InvokeOutcome:
-        contract = self.contracts.get(target)
-        if contract is None:
-            raise ScenarioError("addExecutor on unknown contract %s"
-                                % target.canon())
-        params = [executor.canon().encode()]
-        if caller != contract.owner:
-            return self._invoke_failed(caller, target, "addExecutor", params,
-                                       0, "NotOwner", None, None)
-        contract.trusted_executors.add(executor)
-        outcome = InvokeOutcome(True, True)
-        self._record_invoke(caller, target, "addExecutor", params, 0, outcome,
-                            (), None, None)
-        return outcome
 
     def record_send(self, send: tuple) -> None:
         """Add a bridge send to the open block."""

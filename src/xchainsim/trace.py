@@ -6,12 +6,14 @@ last tick.  The text rendering is canonical (fixed field order, typed
 value encoding) so that two runs with the same scenario and seed produce
 byte-identical files.
 
-A value recorded in an event is never mutated afterwards.  Addresses,
-bridge ids and bridge payloads are frozen and compute their canonical
-text once per object; an adversarial corruption replaces the message's
-payload object instead of editing it.  So the text of a recorded value
-never changes, and a checker may treat the very same object as the
-same text.
+A value recorded in an event is never mutated afterwards.  Addresses
+and bridge ids are tuple subclasses, so they hash, compare and sort as
+tuples, in C; bridge payloads are frozen dataclasses.  Each computes its
+canonical text once per object and keeps it in the object's __dict__
+(a tuple subclass cannot have slots beyond an empty __slots__).  An
+adversarial corruption replaces the message's payload object instead of
+editing it.  So the text of a recorded value never changes, and a
+checker may treat the very same object as the same text.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ _FIELD_ORDER = {
 class memoized:
     """A method read as an attribute and computed once per object: the
     first read stores the value on the instance, where later reads find
-    it before this descriptor.  For frozen objects only (module docstring).
+    it before this descriptor.  For immutable objects only (module
+    docstring).
     functools.cached_property does the same but, before Python 3.12,
     takes a lock on every first read, which made the first read of an
     address six times dearer than formatting its text again."""
@@ -120,11 +123,12 @@ def _canon_fallback(value: Any) -> str:
         return _canon_bytes(value)
     if isinstance(value, str):
         return value
-    if isinstance(value, (list, tuple)):
-        return _canon_seq(value)
-    # Objects with their own canonical form (Address, BridgeId, payloads).
+    # Objects with their own canonical form (Address, BridgeId, payloads),
+    # looked up before the sequence branch since addresses are tuples.
     c = getattr(value, "canon", None)
     if c is None:
+        if isinstance(value, (list, tuple)):
+            return _canon_seq(value)
         raise TypeError("no canonical form for %r" % (value,))
     if not callable(c):
         return c

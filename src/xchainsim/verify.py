@@ -417,7 +417,8 @@ def check_strict_serializability(trace: Trace, transactions: list,
     world = build_replay_world(
         trace, extra_chains={a.chain for t in transactions
                              for a in t.actions})
-    final = {Address(*key): tuple(sorted(vars_.items()))
+    # Keyed by (chain, local) tuples, which an Address equals.
+    final = {key: tuple(sorted(vars_.items()))
              for key, vars_ in trace.final_vars().items()}
 
     # A state is one entry number per contract, in World.state() order;

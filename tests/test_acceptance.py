@@ -34,7 +34,10 @@ def _report(criterion, ok, detail=""):
 
 
 def _run(name, seed, lock_order=None, injections=()):
-    scenario = load_scenario(name)
+    return _run_loaded(load_scenario(name), seed, lock_order, injections)
+
+
+def _run_loaded(scenario, seed, lock_order=None, injections=()):
     world = build_world(scenario, seed=seed, lock_order=lock_order)
     for injection in injections:
         world.add_injection(injection)
@@ -49,8 +52,9 @@ def honest_sweep():
     started = time.monotonic()
     results = []
     for name in HONEST_SCENARIOS:
+        scenario = load_scenario(name)   # parsed once, as `sweep` does
         for seed in range(SEEDS_PER_SCENARIO):
-            world, trace, txns = _run(name, seed)
+            world, trace, txns = _run_loaded(scenario, seed)
             # only a forged ack can run an action on an unlocked scope
             assert not any(e.kind == INVOKE and
                            e.data.get("err") == "ScopeNotLocked"
@@ -70,8 +74,8 @@ def interference_sweep():
     started = time.monotonic()
     results = []
     for name in HONEST_SCENARIOS:
+        scenario = load_scenario(name)
         for seed in range(SEEDS_PER_SCENARIO):
-            scenario = load_scenario(name)
             world = build_world(scenario, seed=seed)
             for injection in eve(world):
                 world.add_injection(injection)

@@ -109,14 +109,17 @@ def test_unlock_unlocked_or_foreign_is_rejected(world):
     assert chain.unlock(EVE, TOKEN, failure=True).reason == "NotLockOwner"
 
 
-def test_add_executor_owner_only_and_idempotent(world):
+def test_lock_and_unlock_of_a_missing_contract_are_refused(world):
     chain = chain_of(world)
-    extra = Address("one", "exec2")
-    assert chain.add_executor(EVE, TOKEN, extra).reason == "NotOwner"
-    assert chain.add_executor(ALICE, TOKEN, extra).ok
-    before = set(chain.contract(TOKEN).trusted_executors)
-    assert chain.add_executor(ALICE, TOKEN, extra).ok
-    assert chain.contract(TOKEN).trusted_executors == before
+    executor, nope = chain.executor_addr, Address("one", "nope")
+    events = world.trace.events
+    assert chain.lock(executor, nope).reason == "UnknownTarget"
+    assert chain.unlock(executor, nope, failure=True).reason == "UnknownTarget"
+    assert [(e.kind, e.data["target"], e.data["ok"], e.data["err"])
+            for e in events] == [("lock", nope, False, "UnknownTarget"),
+                                 ("unlock", nope, False, "UnknownTarget")]
+    assert chain.pending == 2   # both attempts are in the open block
+    assert nope not in chain.contracts
 
 
 def test_seal_block_indices_and_counts(two_chain_world):

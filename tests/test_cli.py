@@ -150,6 +150,23 @@ def test_check_bad_adversary_entry_exits_2(entry, message, tmp_path,
     assert captured.err == "error: %s\n" % message
 
 
+def test_check_adversary_lock_of_missing_contract_exits_0(tmp_path, capsys):
+    path = tmp_path / "missing.yaml"
+    path.write_text("""\
+name: missing-target
+chains:
+  - id: a
+    contracts: [{local: token, kind: token, owner: alice}]
+adversary:
+  - {tick: 1, op: lock, chain: a, caller: eve, target: nope}
+  - {tick: 2, op: unlock, chain: a, caller: eve, target: nope}
+""")
+    assert main(["check", "--scenario", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("pass=b1") == 3
+    assert captured.err == ""
+
+
 def test_unknown_adversary_op_is_rejected_when_parsed():
     raw = {"chains": [{"id": "a"}],
            "adversary": [{"tick": 1, "op": "explode"}]}

@@ -333,3 +333,17 @@ def test_lock_scope_partial_failure_releases_acquired(two_chain_world):
     assert not outcome.ok and outcome.reason == LOCK_CONFLICT
     assert not chain.contract(Address("left", "token")).locked
     assert chain.contract(Address("left", "tok2")).locked_by == rival
+
+
+def test_lock_scope_of_a_missing_contract_is_a_lock_conflict(two_chain_world):
+    world = two_chain_world
+    chain = world.chains["left"]
+    executor = chain.executor_addr
+    outcome = chain.invoke(executor, executor, "lock_scope",
+                           [b"tx", b"left/token", b"left/nope"])
+    assert not outcome.ok and outcome.reason == LOCK_CONFLICT
+    assert not chain.contract(Address("left", "token")).locked
+    refused = [e for e in world.trace.events
+               if e.kind == LOCK and not e.data["ok"]]
+    assert [(e.data["target"], e.data["err"]) for e in refused] == [
+        (Address("left", "nope"), "UnknownTarget")]

@@ -2,11 +2,15 @@
 domain exactly as the plain isinstance chain it replaces, and the
 payload and address classes keep their text once computed."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from xchainsim import Address
 from xchainsim.bridge import Ack, Anotify, BridgeId, Rcall
+from xchainsim import trace
 from xchainsim.trace import canon
 
 
@@ -21,10 +25,11 @@ def reference_canon(value):
         return "x" + value.hex()
     if isinstance(value, str):
         return value
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(reference_canon(v) for v in value) + "]"
+    # Addresses and bridge ids are tuples: their own text comes first.
     if type(value) in REFERENCE_TEXT:
         return REFERENCE_TEXT[type(value)](value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(reference_canon(v) for v in value) + "]"
     c = getattr(value, "canon", None)
     if c is not None:
         return c() if callable(c) else c
@@ -93,3 +98,46 @@ def test_canon_type_prefixes_are_kept_apart():
     assert canon((b"\x01", [False, "m"])) == "[x01,[b0,m]]"
     assert canon(Ack(0, True, True)) != canon(Ack(0, True, 1))
     assert Ack(0, True, True) == Ack(0, True, 1)
+
+
+# Addresses and bridge ids are tuples: hash, order and text as before.
+
+def test_address_and_bridge_id_hash_as_their_fields():
+    assert hash(Address("a", "b")) == hash(("a", "b"))
+    assert hash(BridgeId("a", "b", 2)) == hash(("a", "b", 2))
+    assert hash(BridgeId("a", "b")) == hash(("a", "b", 0))
+
+
+def test_address_and_bridge_id_sort_by_their_fields():
+    addrs = [Address("a-b", "x"), Address("a", "z"), Address("a", "a-b"),
+             Address("a", "a"), Address("b", "a")]
+    assert [a.canon() for a in sorted(addrs)] == [
+        "a/a", "a/a-b", "a/z", "a-b/x", "b/a"]
+    bridges = [BridgeId("b", "a"), BridgeId("a", "b", 1), BridgeId("a-b", "a"),
+               BridgeId("a", "b"), BridgeId("a", "a-b")]
+    assert [b.canon() for b in sorted(bridges)] == [
+        "a>a-b#0", "a>b#0", "a>b#1", "a-b>a#0", "b>a#0"]
+
+
+def test_canon_of_a_new_address_type_is_its_own_text(monkeypatch):
+    # Before canon has met the class, its fallback must find the
+    # class's canon and not render the tuple as a list.
+    monkeypatch.setattr(trace, "_CANON", {
+        k: v for k, v in trace._CANON.items() if k not in (Address, BridgeId)})
+    assert canon([Address("a", "b")]) == "[a/b]"
+    assert canon((BridgeId("a", "b", 1),)) == "[a>b#1]"
+
+
+@pytest.mark.parametrize("value,text,field", [
+    (Address("a", "b"), "Address(chain='a', local='b')", "chain"),
+    (BridgeId("a", "b"), "BridgeId(src='a', dst='b', tag=0)", "src"),
+])
+def test_address_and_bridge_id_copy_pickle_and_repr(value, text, field):
+    value.canon()   # the memo travels with the object's state
+    assert repr(value) == text
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value
+        assert repr(twin) == text and twin.canon() == value.canon()
+    with pytest.raises(AttributeError):
+        setattr(value, field, "z")
