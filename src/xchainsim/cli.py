@@ -120,9 +120,11 @@ def _run_checks(args, world, trace):
 
 def cmd_check(args) -> int:
     world, trace = _simulate(args)
-    verdicts = _run_checks(args, world, trace)
+    # Written before the checks, so a run whose search exceeds the budget
+    # still leaves its trace to audit.
     if args.out:
         _write_trace(trace, args.out)
+    verdicts = _run_checks(args, world, trace)
     failed = False
     for name, verdict in verdicts:
         print(verdict.render(name))

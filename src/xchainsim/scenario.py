@@ -3,7 +3,8 @@
 A scenario file describes chains with their contracts, the bridges
 between them, the cross-chain transactions to propose, and an optional
 adversary script of timed injections.  `load_scenario` parses and fully
-validates a file; `build_world` turns the result plus a seed into a
+validates a file, including that no name holds a character the trace
+uses as a separator; `build_world` turns the result plus a seed into a
 runnable World, and rejects an adversary entry that names a missing
 chain or bridge, or a bridge that is not adversarial.  Bundled scenarios
 under ``xchainsim/scenarios/`` can be referenced by bare name instead of
@@ -13,6 +14,7 @@ a path.
 from __future__ import annotations
 
 import importlib.resources
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -87,6 +89,21 @@ def _require(cond: bool, where: str, message: str) -> None:
         raise ValidationError("%s: %s" % (where, message))
 
 
+# Characters that separate the tokens of a trace line, or the parts of an
+# address (chain/local), a bridge (src>dst#tag) or an adapter's local name
+# (adapter:chain).  No name may hold one, or its trace could not be split
+# back into the names it was written from.
+_SEPARATOR = re.compile(r"[\s=,/:#>\[\](){}]")
+
+
+def _name(raw, where: str, what: str) -> str:
+    text = str(raw)
+    _require(bool(text) and not _SEPARATOR.search(text), where,
+             "%s %r must be non-empty and hold no whitespace or any of "
+             "= , / : # > [ ] ( ) { }" % (what, text))
+    return text
+
+
 def _value(raw, where: str):
     if isinstance(raw, bool) or isinstance(raw, int):
         return raw
@@ -140,7 +157,7 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
     for i, chain_raw in enumerate(raw.get("chains", [])):
         where = "%s.chains[%d]" % (name, i)
         _require("id" in chain_raw, where, "missing chain id")
-        chain_id = str(chain_raw["id"])
+        chain_id = _name(chain_raw["id"], where, "chain id")
         _require(chain_id not in chain_ids, where,
                  "duplicate chain %s" % chain_id)
         chain_ids.add(chain_id)
@@ -154,15 +171,23 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
                      % (kind, ", ".join(library_kinds())))
             init = c_raw.get("init", {}) or {}
             _require(isinstance(init, dict), cwhere, "init must be a mapping")
+            if kind == "token":
+                for holder in init:
+                    _name(holder, cwhere, "token holder")
             contracts.append(ContractSpec(
-                local=str(c_raw["local"]), kind=kind,
-                owner=str(c_raw.get("owner", "owner")), init=dict(init),
-                trusted=list(c_raw["trusted"]) if "trusted" in c_raw
-                else None))
+                local=_name(c_raw["local"], cwhere, "contract name"),
+                kind=kind,
+                owner=_name(c_raw.get("owner", "owner"), cwhere, "owner"),
+                init=dict(init),
+                trusted=[_name(t, cwhere, "trusted name")
+                         for t in c_raw["trusted"]]
+                if "trusted" in c_raw else None))
         seal_every = int(chain_raw.get("seal_every", 1))
         _require(seal_every >= 1, where, "seal_every must be positive")
         scenario.chains.append(ChainSpec(
-            chain_id=chain_id, executor=str(chain_raw.get("executor", "exec")),
+            chain_id=chain_id,
+            executor=_name(chain_raw.get("executor", "exec"), where,
+                           "executor name"),
             seal_every=seal_every, contracts=contracts))
     _require(bool(scenario.chains), name, "at least one chain is required")
 
@@ -197,7 +222,8 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
             params = [_value(p, awhere) for p in a_raw.get("params", [])]
             actions.append({"id": int(a_raw.get("id", j)),
                             "chain": str(a_raw["chain"]),
-                            "target": str(a_raw["target"]),
+                            "target": _name(a_raw["target"], awhere,
+                                            "target"),
                             "method": str(a_raw["method"]),
                             "params": params})
         prec = []
@@ -206,8 +232,10 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
                      where, "prec entries must be [before, after] pairs")
             prec.append((int(pair[0]), int(pair[1])))
         scenario.transactions.append(TransactionSpec(
-            txid=str(t_raw["txid"]), proposer=str(t_raw["proposer"]),
-            originator=str(t_raw.get("originator", "origin")),
+            txid=_name(t_raw["txid"], where, "txid"),
+            proposer=str(t_raw["proposer"]),
+            originator=_name(t_raw.get("originator", "origin"), where,
+                             "originator"),
             tick=int(t_raw.get("tick", 0)), actions=actions, prec=prec))
 
     for i, inj_raw in enumerate(raw.get("adversary", [])):
@@ -259,8 +287,8 @@ def _parse_injection(raw: dict, where: str) -> Injection:
         chain = str(raw["chain"])
         injection = Injection(
             tick=tick, op=op, chain=chain,
-            caller=Address(chain, str(raw["caller"])),
-            target=Address(chain, str(raw["target"])),
+            caller=Address(chain, _name(raw["caller"], where, "caller")),
+            target=Address(chain, _name(raw["target"], where, "target")),
             failure=bool(raw.get("failure", False)))
         if op == "invoke":
             _require("method" in raw, where, "missing method")
@@ -278,7 +306,8 @@ def _parse_injection(raw: dict, where: str) -> Injection:
             injection.payload = _parse_payload(raw.get("payload"), where)
             injection.fake_block = int(raw.get("fake_block", 0))
             if "dest" in raw:
-                injection.dest = Address(bridge.dst, str(raw["dest"]))
+                injection.dest = Address(bridge.dst,
+                                         _name(raw["dest"], where, "dest"))
         else:
             if "msgid" in raw:
                 injection.msg_id = int(raw["msgid"])

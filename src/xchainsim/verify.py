@@ -31,6 +31,15 @@ the target's entry is rebuilt.  The memo key of a search state is the
 tuple of entry numbers, the placed mask and the open transaction.  The
 search keeps an explicit stack with one frame per placed event, so a
 trace of any depth is checked without recursion.
+
+The same fact prunes the search.  A contract's entry changes only
+through events that target it, so once the last of them is placed its
+variables are final on every extension of the branch.  The step that
+places it cuts the branch when they differ from the observed final
+variables, and a contract that no mutating event touches must equal
+them before the search starts.  A branch that places every event is
+then a witness, and no branch with one is cut, so the search meets its
+witnesses in the same order as one that compares only at the leaves.
 """
 
 from __future__ import annotations
@@ -368,6 +377,15 @@ def check_strict_serializability(trace: Trace, transactions: list,
     its result depends (module docstring).  The first time a key is
     met, the replay world is restored to the frame's state and the event
     replayed; every later step with that key is a dict lookup.
+
+    Condition (5) is checked one contract at a time.  Only events that
+    target a contract change its entry, so its variables are final once
+    its last event is placed: the step that places it is cut when they
+    differ from the observed ones, and a contract no event targets fails
+    the check before any replay if it does not already match.  A cut
+    branch holds no witness, and the branches that remain are tried in
+    the same order, so every witness and verdict is the one a search
+    that compared the whole state at each leaf would return.
     """
     events, windows = _extract_mutating(trace, transactions)
     if len(events) > budget:
@@ -437,9 +455,16 @@ def check_strict_serializability(trace: Trace, transactions: list,
     slot = {table[n][0]: p for p, n in enumerate(start)}
     contracts = [world.chains[addr.chain].contracts[addr] for addr in slot]
     where = [slot.get(ev.target) for ev in events]
-
-    def finals_match(state: tuple) -> bool:
-        return all(table[n][1] == final.get(table[n][0]) for n in state)
+    # Each slot's events and final vars: a slot is final once its last
+    # event is placed, and one left untouched must already be.
+    touch = [0] * len(slot)
+    for i, p in enumerate(where):
+        if p is not None:
+            touch[p] |= 1 << i
+    ends = [final.get(addr) for addr in slot]
+    if any(not touch[p] and table[n][1] != ends[p]
+           for p, n in enumerate(start)):
+        return _no_serial_order(events)
 
     everything = (1 << len(events)) - 1
     seen = {(start, 0, None)}
@@ -450,7 +475,7 @@ def check_strict_serializability(trace: Trace, transactions: list,
     # (event, target entry) -> target entry after the step, None if the
     # step is refused or fails (module docstring).
     steps: dict = {}
-    found = not events and finals_match(start)
+    found = not events
     while stack and not found:
         state, placed, open_tx, rest = stack[-1]
         unplaced = everything ^ placed
@@ -480,12 +505,12 @@ def check_strict_serializability(trace: Trace, transactions: list,
             if missed:
                 at = child
             now = placed | bit
-            if now == everything:
-                if finals_match(child):
-                    order.append(ev.index)
-                    found = True
-                    break
+            if not touch[p] & ~now and table[after][1] != ends[p]:
                 continue
+            if now == everything:
+                order.append(ev.index)
+                found = True
+                break
             child_open = ev.txid if block.get(ev.txid, 0) & ~now else None
             key = (child, now, child_open)
             if key in seen:
@@ -503,6 +528,10 @@ def check_strict_serializability(trace: Trace, transactions: list,
 
     if found:
         return Verdict(True, [], witness=order)
+    return _no_serial_order(events)
+
+
+def _no_serial_order(events: list) -> Verdict:
     return Verdict(False, [Violation(
         SERIALIZABILITY, sorted(ev.index for ev in events),
         "no serial ordering of the mutating events reproduces the final "

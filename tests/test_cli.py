@@ -65,6 +65,29 @@ def test_check_budget_exceeded_exits_3(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_check_writes_its_trace_before_exit_3(tmp_path, capsys):
+    checked, ran = tmp_path / "check.log", tmp_path / "run.log"
+    assert main(["check", "--scenario", "swap", "--seed", "7",
+                 "--budget", "2", "--out", str(checked)]) == 3
+    assert main(["run", "--scenario", "swap", "--seed", "7",
+                 "--out", str(ran)]) == 0
+    assert checked.read_bytes() == ran.read_bytes()
+
+
+def test_check_name_with_a_space_exits_2(tmp_path, capsys):
+    path = tmp_path / "spaces.yaml"
+    path.write_text("""\
+name: spaces
+chains:
+  - id: a b
+    contracts: [{local: token, kind: token, owner: alice, init: {al ice: 5}}]
+""")
+    assert main(["check", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: spaces.chains[0]: chain id 'a b' ")
+
+
 def test_metrics_prints_table(capsys):
     assert main(["metrics", "--scenario", "swap"]) == 0
     assert capsys.readouterr().out == (

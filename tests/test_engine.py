@@ -1,6 +1,8 @@
 """Engine behavior: determinism, quiescence, block-rate skew, delivery
 from active bridges, scenario loading and validation."""
 
+import re
+
 import pytest
 
 from xchainsim import (Address, Injection, ScenarioError, StopCondition,
@@ -198,6 +200,49 @@ def test_unknown_chain_reference_names_location():
            "bridges": [{"src": "a", "dst": "ghost"}]}
     with pytest.raises(ValidationError, match="ghost"):
         parse_scenario(raw)
+
+
+def named_scenario(**names) -> dict:
+    """A one-chain scenario with a transaction and an adversary invoke,
+    whose names are the defaults below unless given in `names`."""
+    n = dict(chain="a", executor="exec", local="tok", owner="alice",
+             trusted="exec", holder="alice", txid="t", originator="alice",
+             target="tok", caller="eve")
+    n.update(names)
+    return {
+        "name": "names",
+        "chains": [{"id": n["chain"], "executor": n["executor"],
+                    "contracts": [{"local": n["local"], "kind": "token",
+                                   "owner": n["owner"],
+                                   "trusted": [n["trusted"]],
+                                   "init": {n["holder"]: 5}}]}],
+        "transactions": [{"txid": n["txid"], "proposer": n["chain"],
+                          "originator": n["originator"], "actions": [
+                              {"chain": n["chain"], "target": n["target"],
+                               "method": "transfer",
+                               "params": ["alice", "bob", 1]}]}],
+        "adversary": [{"tick": 1, "op": "invoke", "chain": n["chain"],
+                       "caller": n["caller"], "target": n["target"],
+                       "method": "transfer"}],
+    }
+
+
+NAME_KINDS = {"chain": "chain id", "executor": "executor name",
+              "local": "contract name", "owner": "owner",
+              "trusted": "trusted name", "holder": "token holder",
+              "txid": "txid", "originator": "originator",
+              "target": "target", "caller": "caller"}
+
+
+@pytest.mark.parametrize("key", sorted(NAME_KINDS))
+def test_names_that_would_break_the_trace_are_rejected(key):
+    build_world(parse_scenario(named_scenario()))
+    for bad in ["al ice", "a\tb", "x=y", "a,b", "a/b", "adapter:x", "a#1",
+                "a>b", "[a]", "{a}", "(a)", ""]:
+        with pytest.raises(ValidationError,
+                           match=re.escape("%s %r must"
+                                           % (NAME_KINDS[key], bad))):
+            parse_scenario(named_scenario(**{key: bad}))
 
 
 def test_unknown_contract_in_transaction_rejected():

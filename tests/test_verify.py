@@ -455,27 +455,39 @@ def broken_rule(blocks, pairs, order):
     return None
 
 
+def replay_world(trace, txns):
+    return verify.build_replay_world(
+        trace, extra_chains={a.chain for t in txns for a in t.actions})
+
+
+def replay_event(world, e) -> bool:
+    """Replay one trace event through its chain; False if refused or
+    failed."""
+    chain = world.chains[e.chain]
+    if e.kind == LOCK:
+        outcome = chain.lock(e.data["caller"], e.data["target"])
+    elif e.kind == UNLOCK:
+        outcome = chain.unlock(e.data["caller"], e.data["target"],
+                               bool(e.data["failure"]))
+    else:
+        outcome = chain.invoke(e.data["caller"], e.data["target"],
+                               e.data["method"], list(e.data["params"]))
+    return outcome.ok
+
+
+def final_vars_of(world) -> dict:
+    return {(s.chain, s.local): s.vars for s in world.snapshot()}
+
+
 def replay_order(trace, txns, order):
     """Replay `order` through the chains of a world rebuilt from the
     initial snapshot: the final vars it reaches, or the index of the
     first event the chain refuses or fails."""
-    events = trace.events
-    world = verify.build_replay_world(
-        trace, extra_chains={a.chain for t in txns for a in t.actions})
+    world = replay_world(trace, txns)
     for index in order:
-        e = events[index]
-        chain = world.chains[e.chain]
-        if e.kind == LOCK:
-            outcome = chain.lock(e.data["caller"], e.data["target"])
-        elif e.kind == UNLOCK:
-            outcome = chain.unlock(e.data["caller"], e.data["target"],
-                                   bool(e.data["failure"]))
-        else:
-            outcome = chain.invoke(e.data["caller"], e.data["target"],
-                                   e.data["method"], list(e.data["params"]))
-        if not outcome.ok:
+        if not replay_event(world, trace.events[index]):
             return index
-    return {(s.chain, s.local): s.vars for s in world.snapshot()}
+    return final_vars_of(world)
 
 
 def assert_valid_witness(trace, txns, witness):
@@ -680,6 +692,148 @@ def test_step_memo_keys_on_the_target_entry():
     verdict = check_strict_serializability(trace, txns)
     assert verdict.passed
     assert_valid_witness(trace, txns, verdict.witness)
+
+
+def exhaustive_serializable(trace, txns) -> bool:
+    """Test oracle for traces too long to permute: depth first over every
+    order of the mutating events that keeps the rules of witness_rules,
+    replayed on one world.  A prefix whose placed events, open block and
+    world state were met before is not expanded again, since the rest of
+    the order depends on nothing else.  The final vars are compared only
+    once every event is placed."""
+    mutating, blocks, pairs = witness_rules(trace, txns)
+    block_of = {i: txid for txid, block in blocks.items() for i in block}
+    earlier = {i: set() for i in mutating}
+    for a, b, _ in pairs:
+        earlier[b].add(a)
+    world = replay_world(trace, txns)
+    final = trace.final_vars()
+    seen = set()
+
+    def search(placed, open_txid):
+        if len(placed) == len(mutating):
+            return final_vars_of(world) == final
+        state = world.state()
+        key = (placed, open_txid, state)
+        if key in seen:
+            return False
+        seen.add(key)
+        for i in mutating:
+            txid = block_of.get(i)
+            if i in placed or not earlier[i] <= placed or \
+                    open_txid not in (None, txid):
+                continue
+            if replay_event(world, trace.events[i]):
+                now = placed | {i}
+                still_open = txid if txid is not None and \
+                    not set(blocks[txid]) <= now else None
+                if search(now, still_open):
+                    return True
+            world.restore(state)
+        return False
+
+    return search(frozenset(), None)
+
+
+@pytest.mark.parametrize("case,doctored", [
+    (case, doctored)
+    for case in ["conflict@%d" % seed for seed in range(3)]
+    + ["repeat@0", "swap-updatefail@0"] for doctored in (False, True)]
+    + [("set-then-incr@0", False)])
+def test_exhaustive_oracle_agrees_with_brute_force(case, doctored):
+    trace, txns = small_case(case)
+    if doctored:
+        doctor_balance(trace)
+    assert exhaustive_serializable(trace, txns) == \
+        brute_force_serializable(trace, txns)
+
+
+def set_final_vars(trace, chain, local, vars_):
+    """Replace one contract's final vars in the trace's final snapshot."""
+    for n, snap in enumerate(trace.final):
+        if (snap.chain, snap.local) == (chain, local):
+            trace.final[n] = ContractSnapshot(snap.chain, snap.local,
+                                              snap.kind, snap.owner,
+                                              snap.trusted, vars_)
+            return
+    raise AssertionError("no contract %s/%s" % (chain, local))
+
+
+def test_untouched_contract_mismatch_fails_without_replay(monkeypatch):
+    # no mutating event targets fantom/side, so no order can change it:
+    # the search fails before it replays anything
+    calls = []
+    original = verify._replay_one
+
+    def replay_one(world, ev):
+        calls.append(ev.index)
+        return original(world, ev)
+
+    monkeypatch.setattr(verify, "_replay_one", replay_one)
+    _, trace, txns = run_bundled("swap")
+    set_final_vars(trace, "fantom", "side", {"count": 1})
+    mutating, _, _ = witness_rules(trace, txns)
+    assert all(trace.events[i].data["target"] != Address("fantom", "side")
+               for i in mutating)
+    verdict = check_strict_serializability(trace, txns)
+    assert not verdict.passed
+    assert calls == []
+    (violation,) = verdict.violations
+    assert violation.prop == SERIALIZABILITY
+    assert violation.events == mutating
+    assert violation.explanation.startswith("no serial ordering")
+
+
+def test_mismatch_on_a_contract_only_locked_and_unlocked_fails():
+    # the transfer on mumbai fails, so the aborted swap's only mutating
+    # events there are its lock and its rolling-back unlock; the search
+    # checks the contract once the unlock is placed
+    _, trace, txns = run_bundled("swap-updatefail")
+    token = Address("mumbai", "token")
+    mutating, _, _ = witness_rules(trace, txns)
+    assert [(trace.events[i].kind, trace.events[i].data.get("failure"))
+            for i in mutating
+            if trace.events[i].data["target"] == token] == \
+        [(LOCK, None), (UNLOCK, True)]
+    # honest, fantom's transfer is rolled back by the unlock after it
+    assert check_strict_serializability(trace, txns).passed
+    vars_ = dict(trace.final_vars()[("mumbai", "token")])
+    vars_["bal:bob"] += 1
+    set_final_vars(trace, "mumbai", "token", vars_)
+    verdict = check_strict_serializability(trace, txns)
+    assert not verdict.passed
+    assert not brute_force_serializable(trace, txns)
+
+
+# The witnesses the search returned on honest disjoint_swaps(3, seed)
+# before it checked a contract at its last event; pruning cuts only
+# branches with no witness, so the first witness found is the same.
+DISJOINT3_WITNESS = [
+    [1, 24, 44, 60, 95, 109, 5, 27, 47, 63, 85, 112, 9, 19, 35, 55, 75, 99],
+    [1, 19, 33, 48, 80, 103, 5, 22, 42, 60, 90, 113, 9, 29, 52, 63, 93, 106],
+    [1, 19, 44, 55, 85, 97, 5, 22, 35, 58, 90, 107, 9, 25, 47, 61, 93, 113],
+    [1, 19, 45, 65, 96, 113, 5, 22, 33, 41, 68, 86, 9, 29, 57, 75, 99, 107],
+    [1, 19, 39, 55, 96, 107, 5, 29, 42, 58, 99, 113, 9, 22, 45, 61, 75, 91],
+    [1, 24, 39, 55, 85, 101, 5, 27, 42, 58, 88, 109, 9, 19, 45, 65, 91, 112],
+    [1, 19, 31, 41, 80, 97, 5, 24, 45, 60, 90, 113, 9, 27, 54, 63, 93, 107],
+    [1, 24, 45, 53, 90, 113, 5, 19, 31, 41, 70, 97, 9, 27, 60, 73, 93, 107],
+    [1, 19, 31, 41, 80, 99, 5, 24, 47, 60, 90, 109, 9, 27, 50, 63, 95, 112],
+    [1, 19, 39, 60, 80, 94, 5, 22, 42, 63, 101, 113, 9, 25, 45, 55, 90, 105],
+]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_three_disjoint_swaps_agree_with_exhaustive_oracle(seed):
+    # 18 mutating events are too many to permute, so the oracle is the
+    # memoized one, itself checked against brute force above
+    trace, txns = disjoint_swaps(3, seed)
+    verdict = check_strict_serializability(trace, txns, budget=18)
+    assert verdict.passed and exhaustive_serializable(trace, txns)
+    assert verdict.witness == DISJOINT3_WITNESS[seed]
+    assert_valid_witness(trace, txns, verdict.witness)
+    doctor_balance(trace)
+    assert not check_strict_serializability(trace, txns, budget=18).passed
+    assert not exhaustive_serializable(trace, txns)
 
 
 def small_case(case):
