@@ -32,7 +32,7 @@ from typing import Optional
 
 from .bridge import Ack, Anotify, BridgeId, BridgeMessage, Rcall
 from .chain import Address, Chain, ScenarioError
-from .trace import ANOMALY, FUTURE, RECV, TraceEvent
+from .trace import ANOMALY, FUTURE, RECV
 
 PENDING = "pending"
 DELIVERED = "delivered"
@@ -104,10 +104,10 @@ class Adapter:
 
     def on_recv(self, message: BridgeMessage) -> None:
         trace = self.chain.trace
-        trace.append(TraceEvent(self.chain.clock, RECV, self.chain.id, {
+        trace.record(RECV, self.chain.id, {
             "bridge": self.in_bridge, "msgid": message.msg_id,
             "dest": message.dest, "origin_block": message.origin_block,
-            "payload": message.payload}))
+            "payload": message.payload})
         payload = message.payload
         if isinstance(payload, Anotify):
             self.chain.invoke(self.addr, payload.dest, "notification",
@@ -124,10 +124,9 @@ class Adapter:
         elif isinstance(payload, Ack):
             self._resolve(payload)
         else:
-            trace.append(TraceEvent(self.chain.clock, ANOMALY, self.chain.id,
-                                    {"what": "BadPayload",
-                                     "adapter": self.addr,
-                                     "msgid": message.msg_id}))
+            trace.record(ANOMALY, self.chain.id, {
+                "what": "BadPayload", "adapter": self.addr,
+                "msgid": message.msg_id})
 
     # Internals ------------------------------------------------------------
 
@@ -150,10 +149,9 @@ class Adapter:
     def _resolve(self, ack: Ack) -> None:
         future = self.futures.pop(ack.seq, None)
         if future is None:
-            self.chain.trace.append(TraceEvent(
-                self.chain.clock, ANOMALY, self.chain.id,
-                {"what": "UnknownAckSeq", "adapter": self.addr,
-                 "seq": ack.seq}))
+            self.chain.trace.record(ANOMALY, self.chain.id, {
+                "what": "UnknownAckSeq", "adapter": self.addr,
+                "seq": ack.seq})
             return
         self.world.pending_futures -= 1
         if future.kind == "anotify":
@@ -167,7 +165,6 @@ class Adapter:
         self.world.resolutions.append(future)
 
     def _future_event(self, future: Future) -> None:
-        self.chain.trace.append(TraceEvent(
-            self.chain.clock, FUTURE, self.chain.id,
-            {"adapter": self.addr, "seq": future.seq, "state": future.state,
-             "ok": future.ok}))
+        self.chain.trace.record(FUTURE, self.chain.id, {
+            "adapter": self.addr, "seq": future.seq, "state": future.state,
+            "ok": future.ok})

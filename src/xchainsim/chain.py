@@ -9,6 +9,10 @@ themselves.  A seal step numbers the block and hands its sends to the
 engine; the block index is what bridge messages later cite as their
 origin.  The chain keeps only its height, and the engine counts an
 empty block without sealing it.
+
+Every attempt is recorded through the chain's trace, which stamps it
+with the tick the engine is running; a chain keeps no clock, so a
+standalone chain's events carry whatever tick its trace holds.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .trace import INVOKE, LOCK, UNLOCK, SEAL, Trace, TraceEvent, memoized
+from .trace import INVOKE, LOCK, UNLOCK, SEAL, Trace, memoized
 
 Value = object  # int | bool | bytes
 
@@ -148,7 +152,6 @@ class Chain:
         self.pending = 0  # records in the open block
         self.sends: list = []  # the open block's bridge sends
         self.executor_addr: Optional[Address] = None
-        self.clock = 0  # current tick, maintained by the engine
 
     # Construction -----------------------------------------------------
 
@@ -250,8 +253,8 @@ class Chain:
         """Close the open block as block `height` and return its sends."""
         sends = self.sends
         if self.pending:
-            self.trace.append(TraceEvent(self.clock, SEAL, self.id, {
-                "block": self.height, "count": self.pending}))
+            self.trace.record(SEAL, self.id, {"block": self.height,
+                                              "count": self.pending})
         self.height += 1
         self.pending = 0
         self.sends = []
@@ -300,7 +303,7 @@ class Chain:
             data["txid"] = txid
         if actor is not None:
             data["actor"] = actor
-        self.trace.append(TraceEvent(self.clock, INVOKE, self.id, data))
+        self.trace.record(INVOKE, self.id, data)
 
     def _lock_event(self, caller, target, ok, reason, txid) -> InvokeOutcome:
         self.pending += 1
@@ -309,7 +312,7 @@ class Chain:
             data["err"] = reason
         if txid is not None:
             data["txid"] = txid
-        self.trace.append(TraceEvent(self.clock, LOCK, self.id, data))
+        self.trace.record(LOCK, self.id, data)
         return InvokeOutcome(ok, None, reason)
 
     def _unlock_event(self, caller, target, failure, ok, reason,
@@ -321,5 +324,5 @@ class Chain:
             data["err"] = reason
         if txid is not None:
             data["txid"] = txid
-        self.trace.append(TraceEvent(self.clock, UNLOCK, self.id, data))
+        self.trace.record(UNLOCK, self.id, data)
         return InvokeOutcome(ok, None, reason)

@@ -7,9 +7,10 @@ finally every chain due to seal closes one block, at which point the
 block's bridge sends become in-flight messages with seeded delivery
 delays, each citing the block's index as its origin.
 
-A tick costs what happens in it: delivery visits only the bridges that
-hold messages, and a chain with an empty open block counts it instead of
-sealing it.
+A tick costs what happens in it: the tick is written once, into the
+trace, which stamps every event recorded during it (no chain keeps a
+clock); delivery visits only the bridges that hold messages, and a chain
+with an empty open block counts it instead of sealing it.
 
 All nondeterminism (delays, reorder permutations) draws from one seeded
 generator, so a (scenario, seed) pair fully determines the trace.
@@ -35,7 +36,7 @@ from .bridge import (ADVERSARIAL, Bridge, BridgeId, BridgeMessage,
 from .chain import Address, Chain, Contract, ScenarioError
 from .executor import ExecutorContract
 from .methods import build_contract
-from .trace import ADVERSARY, ANOMALY, SEND, ContractSnapshot, Trace, TraceEvent
+from .trace import ADVERSARY, ANOMALY, SEND, ContractSnapshot, Trace
 from .txn import CrossChainTransaction, validate_transaction
 
 EXECUTOR_LOCAL = "exec"
@@ -90,7 +91,6 @@ class World:
         self.kicks: list = []
         self.pending_futures = 0          # issued by any adapter, not resolved
         self.resolutions: list = []       # futures resolved this tick
-        self.clock = 0
         self._msg_counter = 0
         self.quiesced = False
         self.end_tick = 0
@@ -247,9 +247,7 @@ class World:
         chains = [self.chains[chain_id] for chain_id in sorted(self.chains)]
         try:
             for tick in range(stop.max_ticks):
-                self.clock = tick
-                for chain in chains:
-                    chain.clock = tick
+                self.trace.tick = tick
 
                 for injection in injections_by_tick.get(tick, ()):
                     self._apply_injection(injection)
@@ -262,10 +260,9 @@ class World:
                     for message in bridge.take_due(tick, self.rng):
                         adapter = self.adapters.get(message.dest)
                         if adapter is None:
-                            self.trace.append(TraceEvent(
-                                tick, ANOMALY, bridge_id.dst,
-                                {"what": "NoSuchAdapter",
-                                 "msgid": message.msg_id}))
+                            self.trace.record(ANOMALY, bridge_id.dst, {
+                                "what": "NoSuchAdapter",
+                                "msgid": message.msg_id})
                             continue
                         adapter.on_recv(message)
                     if not bridge.queue:
@@ -315,9 +312,9 @@ class World:
             message = BridgeMessage(msg_id, payload, dest, origin_block=block)
             self.bridges[bridge_id].enqueue(message, tick, self.rng)
             self.active_bridges.add(bridge_id)
-            self.trace.append(TraceEvent(tick, SEND, bridge_id.src, {
+            self.trace.record(SEND, bridge_id.src, {
                 "bridge": bridge_id, "msgid": msg_id, "sender": sender,
-                "dest": dest, "block": block, "payload": payload}))
+                "dest": dest, "block": block, "payload": payload})
 
     def quiescent(self) -> bool:
         if any(self.bridges[b].queue for b in self.active_bridges):
@@ -331,26 +328,26 @@ class World:
     # Adversary ------------------------------------------------------------
 
     def _apply_injection(self, injection: Injection) -> None:
-        tick = self.clock
+        record = self.trace.record
         actor = injection.caller.canon() if injection.caller else "bridge"
         if injection.op == "invoke":
-            self.trace.append(TraceEvent(tick, ADVERSARY, injection.chain, {
+            record(ADVERSARY, injection.chain, {
                 "op": "invoke", "caller": injection.caller,
                 "target": injection.target, "method": injection.method,
-                "params": list(injection.params)}))
+                "params": list(injection.params)})
             self.chains[injection.chain].invoke(
                 injection.caller, injection.target, injection.method,
                 list(injection.params), actor=actor)
         elif injection.op == "lock":
-            self.trace.append(TraceEvent(tick, ADVERSARY, injection.chain, {
+            record(ADVERSARY, injection.chain, {
                 "op": "lock", "caller": injection.caller,
-                "target": injection.target}))
+                "target": injection.target})
             self.chains[injection.chain].lock(injection.caller,
                                               injection.target)
         elif injection.op == "unlock":
-            self.trace.append(TraceEvent(tick, ADVERSARY, injection.chain, {
+            record(ADVERSARY, injection.chain, {
                 "op": "unlock", "caller": injection.caller,
-                "target": injection.target}))
+                "target": injection.target})
             self.chains[injection.chain].unlock(injection.caller,
                                                 injection.target,
                                                 injection.failure)
@@ -362,14 +359,12 @@ class World:
                                             injection.bridge.src).addr
             message = BridgeMessage(self.next_msg_id(), injection.payload,
                                     dest, injection.fake_block)
-            bridge.forge(message, tick, self.rng)
+            bridge.forge(message, self.trace.tick, self.rng)
             self.active_bridges.add(injection.bridge)
-            self.trace.append(TraceEvent(tick, ADVERSARY, injection.bridge.dst,
-                                         {"op": "forge", "bridge":
-                                          injection.bridge,
-                                          "msgid": message.msg_id,
-                                          "fake_block": injection.fake_block,
-                                          "payload": injection.payload}))
+            record(ADVERSARY, injection.bridge.dst, {
+                "op": "forge", "bridge": injection.bridge,
+                "msgid": message.msg_id, "fake_block": injection.fake_block,
+                "payload": injection.payload})
         else:                                   # drop or corrupt
             bridge = self.bridges[injection.bridge]
             msg_id = injection.msg_id
@@ -378,19 +373,16 @@ class World:
                 if injection.queue_index < len(queued):
                     msg_id = queued[injection.queue_index]
             if msg_id is None:
-                self.trace.append(TraceEvent(
-                    tick, ADVERSARY, injection.bridge.dst,
-                    {"op": injection.op, "bridge": injection.bridge}))
+                record(ADVERSARY, injection.bridge.dst, {
+                    "op": injection.op, "bridge": injection.bridge})
                 return
             if injection.op == "drop":
                 bridge.drop(msg_id)
             else:
                 bridge.corrupt(msg_id, injection.payload)
-            self.trace.append(TraceEvent(tick, ADVERSARY, injection.bridge.dst,
-                                         {"op": injection.op,
-                                          "bridge": injection.bridge,
-                                          "msgid": msg_id,
-                                          "payload": injection.payload}))
+            record(ADVERSARY, injection.bridge.dst, {
+                "op": injection.op, "bridge": injection.bridge,
+                "msgid": msg_id, "payload": injection.payload})
 
     # Contract state -------------------------------------------------------
 

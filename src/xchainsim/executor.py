@@ -28,7 +28,7 @@ import weakref
 from typing import Optional
 
 from .chain import Address, MethodFailure
-from .trace import OUTCOME, TraceEvent
+from .trace import OUTCOME
 from .txn import CrossChainTransaction, scope_union
 
 LOCKING = "locking"
@@ -261,7 +261,7 @@ class ProposerMachine:
                 "rounds": m.round_no + 1}
         if m.reason is not None:
             data["reason"] = m.reason
-        chain.trace.append(TraceEvent(chain.clock, OUTCOME, chain.id, data))
+        chain.trace.record(OUTCOME, chain.id, data)
 
     def _call(self, chain_id: str, method: str, params: list) -> None:
         """Call the executor on `chain_id` as part of the current batch:

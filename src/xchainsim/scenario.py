@@ -84,9 +84,11 @@ class Scenario:
     adversary: list = field(default_factory=list)   # of Injection
 
 
-def _require(cond: bool, where: str, message: str) -> None:
+def _require(cond: bool, where: str, message: str, *args) -> None:
+    """Raise unless `cond`; the message is `message % args`, formatted
+    only then."""
     if not cond:
-        raise ValidationError("%s: %s" % (where, message))
+        raise ValidationError("%s: %s" % (where, message % args))
 
 
 # Characters that separate the tokens of a trace line, or the parts of an
@@ -100,7 +102,7 @@ def _name(raw, where: str, what: str) -> str:
     text = str(raw)
     _require(bool(text) and not _SEPARATOR.search(text), where,
              "%s %r must be non-empty and hold no whitespace or any of "
-             "= , / : # > [ ] ( ) { }" % (what, text))
+             "= , / : # > [ ] ( ) { }", what, text)
     return text
 
 
@@ -158,8 +160,8 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
         where = "%s.chains[%d]" % (name, i)
         _require("id" in chain_raw, where, "missing chain id")
         chain_id = _name(chain_raw["id"], where, "chain id")
-        _require(chain_id not in chain_ids, where,
-                 "duplicate chain %s" % chain_id)
+        _require(chain_id not in chain_ids, where, "duplicate chain %s",
+                 chain_id)
         chain_ids.add(chain_id)
         contracts = []
         for j, c_raw in enumerate(chain_raw.get("contracts", [])):
@@ -167,8 +169,8 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
             _require("local" in c_raw, cwhere, "missing contract name")
             kind = c_raw.get("kind", "token")
             _require(kind in library_kinds(), cwhere,
-                     "unknown contract kind %r (known: %s)"
-                     % (kind, ", ".join(library_kinds())))
+                     "unknown contract kind %r (known: %s)",
+                     kind, ", ".join(library_kinds()))
             init = c_raw.get("init", {}) or {}
             _require(isinstance(init, dict), cwhere, "init must be a mapping")
             if kind == "token":
@@ -194,9 +196,9 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
     for i, b_raw in enumerate(raw.get("bridges", [])):
         where = "%s.bridges[%d]" % (name, i)
         for key in ("src", "dst"):
-            _require(key in b_raw, where, "missing %s" % key)
+            _require(key in b_raw, where, "missing %s", key)
             _require(str(b_raw[key]) in chain_ids, where,
-                     "unknown chain %r" % b_raw[key])
+                     "unknown chain %r", b_raw[key])
         mode = b_raw.get("mode", HONEST)
         _require(mode in (HONEST, ADVERSARIAL), where,
                  "mode must be honest or adversarial")
@@ -211,20 +213,21 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
         _require("txid" in t_raw, where, "missing txid")
         _require("proposer" in t_raw, where, "missing proposer chain")
         _require(str(t_raw["proposer"]) in chain_ids, where,
-                 "unknown proposer chain %r" % t_raw["proposer"])
+                 "unknown proposer chain %r", t_raw["proposer"])
         actions = []
         for j, a_raw in enumerate(t_raw.get("actions", [])):
             awhere = "%s.actions[%d]" % (where, j)
             for key in ("chain", "target", "method"):
-                _require(key in a_raw, awhere, "missing %s" % key)
+                _require(key in a_raw, awhere, "missing %s", key)
             _require(str(a_raw["chain"]) in chain_ids, awhere,
-                     "unknown chain %r" % a_raw["chain"])
+                     "unknown chain %r", a_raw["chain"])
             params = [_value(p, awhere) for p in a_raw.get("params", [])]
             actions.append({"id": int(a_raw.get("id", j)),
                             "chain": str(a_raw["chain"]),
                             "target": _name(a_raw["target"], awhere,
                                             "target"),
-                            "method": str(a_raw["method"]),
+                            "method": _name(a_raw["method"], awhere,
+                                            "method"),
                             "params": params})
         prec = []
         for pair in t_raw.get("prec", []):
@@ -283,7 +286,7 @@ def _parse_injection(raw: dict, where: str) -> Injection:
     tick = int(raw["tick"])
     if op in CHAIN_OPS:
         for key in ("chain", "caller", "target"):
-            _require(key in raw, where, "missing %s" % key)
+            _require(key in raw, where, "missing %s", key)
         chain = str(raw["chain"])
         injection = Injection(
             tick=tick, op=op, chain=chain,
@@ -292,13 +295,13 @@ def _parse_injection(raw: dict, where: str) -> Injection:
             failure=bool(raw.get("failure", False)))
         if op == "invoke":
             _require("method" in raw, where, "missing method")
-            injection.method = str(raw["method"])
+            injection.method = _name(raw["method"], where, "method")
             injection.params = [_value(p, where)
                                 for p in raw.get("params", [])]
         return injection
     if op in BRIDGE_OPS:
         for key in ("src", "dst"):
-            _require(key in raw, where, "missing %s" % key)
+            _require(key in raw, where, "missing %s", key)
         bridge = BridgeId(str(raw["src"]), str(raw["dst"]),
                           int(raw.get("tag", 0)))
         injection = Injection(tick=tick, op=op, bridge=bridge)
@@ -333,17 +336,23 @@ def _parse_payload(raw, where: str):
         _require("dest" in raw and "chain" in raw, where,
                  "anotify payload needs chain and dest")
         seq = raw.get("seq")
-        return Anotify(origin=Address(str(raw.get("origin_chain",
-                                                  raw["chain"])),
-                                      str(raw.get("origin", "forged"))),
+        chain = _name(raw["chain"], where, "payload chain")
+        return Anotify(origin=Address(_name(raw.get("origin_chain", chain),
+                                            where, "payload origin_chain"),
+                                      _name(raw.get("origin", "forged"),
+                                            where, "payload origin")),
                        data=_value(raw.get("data", ""), where),
                        seq=int(seq) if seq is not None else None,
-                       dest=Address(str(raw["chain"]), str(raw["dest"])))
+                       dest=Address(chain, _name(raw["dest"], where,
+                                                 "payload dest")))
     if ptype == "rcall":
         _require("chain" in raw and "target" in raw and "method" in raw,
                  where, "rcall payload needs chain, target, method")
-        return Rcall(target=Address(str(raw["chain"]), str(raw["target"])),
-                     method=str(raw["method"]),
+        return Rcall(target=Address(_name(raw["chain"], where,
+                                          "payload chain"),
+                                    _name(raw["target"], where,
+                                          "payload target")),
+                     method=_name(raw["method"], where, "payload method"),
                      params=tuple(_value(p, where)
                                   for p in raw.get("params", [])),
                      seq=int(raw.get("seq", 0)))

@@ -6,6 +6,15 @@ last tick.  The text rendering is canonical (fixed field order, typed
 value encoding) so that two runs with the same scenario and seed produce
 byte-identical files.
 
+The trace holds the tick being run, which the engine writes once per
+tick, and `Trace.record` is the one place an event is built: it stamps
+the event with that tick.  An event renders by walking its kind's table
+of (key, "key=") pairs, built once from _FIELD_ORDER.  A str or int
+value is written inline; every other value's text comes from the _CANON
+type table, where a class with a memoized `_text` (the recorded value
+classes below) is entered as a getter of that attribute, so an already
+computed text costs one attribute read.
+
 A value recorded in an event is never mutated afterwards.  Addresses
 and bridge ids are tuple subclasses, so they hash, compare and sort as
 tuples, in C; bridge payloads are frozen dataclasses.  Each computes its
@@ -19,7 +28,7 @@ checker may treat the very same object as the same text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import methodcaller
+from operator import attrgetter
 from typing import Any, Optional
 
 # Event kinds.
@@ -51,6 +60,11 @@ _FIELD_ORDER = {
     OUTCOME: ("txid", "outcome", "reason", "rounds"),
     ANOMALY: ("what", "adapter", "seq", "msgid"),
 }
+
+# The same order as (key, "key=") pairs, so a render concatenates and
+# does not format a label per field.
+_FIELDS = {kind: tuple((key, key + "=") for key in keys)
+           for kind, keys in _FIELD_ORDER.items()}
 
 
 class memoized:
@@ -94,11 +108,12 @@ def _canon_seq(value) -> str:
     return "[" + ",".join(map(canon, value)) + "]"
 
 
-# Renderer per exact type.  A class with its own canon method joins the
-# table the first time canon meets it; subclasses of the built-in types
-# and everything else go through _canon_fallback.
+# Renderer per exact type.  A class whose canonical text is a memoized
+# `_text` joins the table the first time canon meets it; subclasses of
+# the built-in types and everything else go through _canon_fallback.
 _CANON = {bool: _canon_bool, int: _canon_int, bytes: _canon_bytes,
           str: _canon_str, list: _canon_seq, tuple: _canon_seq}
+_memo_text = attrgetter("_text")
 
 
 def canon(value: Any) -> str:
@@ -130,11 +145,9 @@ def _canon_fallback(value: Any) -> str:
         if isinstance(value, (list, tuple)):
             return _canon_seq(value)
         raise TypeError("no canonical form for %r" % (value,))
-    if not callable(c):
-        return c
-    if callable(getattr(type(value), "canon", None)):
-        _CANON[type(value)] = methodcaller("canon")
-    return c()
+    if isinstance(getattr(type(value), "_text", None), memoized):
+        _CANON[type(value)] = _memo_text
+    return c() if callable(c) else c
 
 
 @dataclass
@@ -146,13 +159,23 @@ class TraceEvent:
 
     def render(self) -> str:
         parts = ["tick=%d kind=%s" % (self.tick, self.kind)]
+        append = parts.append
         if self.chain is not None:
-            parts.append("chain=%s" % self.chain)
+            append("chain=%s" % self.chain)
         get = self.data.get
-        for key in _FIELD_ORDER[self.kind]:
+        for key, label in _FIELDS[self.kind]:
             value = get(key)
-            if value is not None:
-                parts.append(key + "=" + canon(value))
+            if value is None:
+                continue
+            kind = type(value)
+            if kind is str:
+                append(label + value)
+            elif kind is int:
+                append(label + "i%d" % value)
+            else:
+                text = _CANON.get(kind)
+                append(label + (_canon_fallback(value) if text is None
+                                else text(value)))
         return " ".join(parts)
 
 
@@ -186,9 +209,11 @@ class Trace:
     final: list = field(default_factory=list)
     quiesced: bool = False
     end_tick: int = 0
+    tick: int = 0              # the tick being run, kept by the engine
 
-    def append(self, event: TraceEvent) -> None:
-        self.events.append(event)
+    def record(self, kind: str, chain: Optional[str], data: dict) -> None:
+        """Add an event of the current tick."""
+        self.events.append(TraceEvent(self.tick, kind, chain, data))
 
     def render(self) -> str:
         lines = ["meta scenario=%s seed=%d lock_order=%s quiesced=%s end_tick=%d"

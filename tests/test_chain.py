@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from xchainsim import Address, FatalScenarioError, MethodDef, World
-from xchainsim.chain import Contract
+from xchainsim import Address, FatalScenarioError, MethodDef, Trace, World
+from xchainsim.chain import Chain, Contract
+from xchainsim.methods import build_contract
 from xchainsim.trace import SEAL
 
 
@@ -276,3 +277,20 @@ def _stress_once(seed: int) -> None:
 def test_lock_discipline_stress_10k_sequences():
     for seed in range(10_000):
         _stress_once(seed)
+
+
+def test_standalone_chain_stamps_events_with_its_traces_tick():
+    trace = Trace()
+    chain = Chain("one", trace)
+    chain.add_contract(build_contract(TOKEN, "token", ALICE,
+                                      {"bal:alice": 10}, {ALICE}))
+    chain.invoke(ALICE, TOKEN, "transfer", [b"alice", b"bob", 1])
+    trace.tick = 7
+    chain.lock(ALICE, TOKEN)
+    chain.unlock(ALICE, TOKEN, failure=True)
+    trace.tick = 9
+    chain.seal_block()
+    assert [(e.tick, e.kind) for e in trace.events] == [
+        (0, "invoke"), (7, "lock"), (7, "unlock"), (9, "seal")]
+    assert trace.events[-1].render() == \
+        "tick=9 kind=seal chain=one block=i0 count=i3"

@@ -6,6 +6,9 @@ from xchainsim import (FatalScenarioError, ValidationError, World,
                        parse_scenario)
 from xchainsim.cli import main
 
+NAME_RULE = ("must be non-empty and hold no whitespace or any of "
+             "= , / : # > [ ] ( ) { }")
+
 BAD_ADVERSARY_SCENARIO = """\
 name: bad-adversary
 chains:
@@ -162,7 +165,13 @@ def test_sweep_budget_exceeded_names_seed_and_exits_3(capsys):
      "method: incr}", "adversary invoke at tick 1: unknown chain 'z'"),
     ("{tick: 1, op: forge, src: a, dst: b, payload: {type: ack}}",
      "adversary forge at tick 1: bridge a>b#0 is not adversarial"),
-], ids=["unknown-bridge", "unknown-chain", "honest-bridge"])
+    ("{tick: 1, op: invoke, chain: a, caller: eve, target: token, "
+     "method: m x}", "bad-adversary.adversary[0]: method 'm x' " + NAME_RULE),
+    ("{tick: 1, op: forge, src: a, dst: b, payload: {type: rcall, chain: b, "
+     "target: token, method: m x}}",
+     "bad-adversary.adversary[0]: payload method 'm x' " + NAME_RULE),
+], ids=["unknown-bridge", "unknown-chain", "honest-bridge",
+        "invoke-method-space", "payload-method-space"])
 def test_check_bad_adversary_entry_exits_2(entry, message, tmp_path,
                                            capsys):
     path = tmp_path / "bad.yaml"

@@ -127,7 +127,7 @@ def test_pending_future_count_matches_a_scan():
     def checked() -> bool:
         scan = sum(not f.terminal for adapter in world.adapters.values()
                    for f in adapter.futures.values())
-        assert world.pending_futures == scan, world.clock
+        assert world.pending_futures == scan, world.trace.tick
         counts.append(scan)
         return quiescent()
 
@@ -203,11 +203,15 @@ def test_unknown_chain_reference_names_location():
 
 
 def named_scenario(**names) -> dict:
-    """A one-chain scenario with a transaction and an adversary invoke,
-    whose names are the defaults below unless given in `names`."""
+    """A two-chain scenario with a transaction, an adversary invoke and
+    two forged payloads, whose names are the defaults below unless given
+    in `names`."""
     n = dict(chain="a", executor="exec", local="tok", owner="alice",
              trusted="exec", holder="alice", txid="t", originator="alice",
-             target="tok", caller="eve")
+             target="tok", action_method="transfer", caller="eve",
+             method="transfer", rcall_chain="b", rcall_target="tok",
+             rcall_method="transfer", anotify_chain="b", anotify_dest="tok",
+             origin_chain="a", origin="eve")
     n.update(names)
     return {
         "name": "names",
@@ -215,15 +219,28 @@ def named_scenario(**names) -> dict:
                     "contracts": [{"local": n["local"], "kind": "token",
                                    "owner": n["owner"],
                                    "trusted": [n["trusted"]],
-                                   "init": {n["holder"]: 5}}]}],
+                                   "init": {n["holder"]: 5}}]},
+                   {"id": "b", "contracts": [{"local": "tok"}]}],
+        "bridges": [{"src": n["chain"], "dst": "b", "mode": "adversarial"},
+                    {"src": "b", "dst": n["chain"]}],
         "transactions": [{"txid": n["txid"], "proposer": n["chain"],
                           "originator": n["originator"], "actions": [
                               {"chain": n["chain"], "target": n["target"],
-                               "method": "transfer",
+                               "method": n["action_method"],
                                "params": ["alice", "bob", 1]}]}],
-        "adversary": [{"tick": 1, "op": "invoke", "chain": n["chain"],
-                       "caller": n["caller"], "target": n["target"],
-                       "method": "transfer"}],
+        "adversary": [
+            {"tick": 1, "op": "invoke", "chain": n["chain"],
+             "caller": n["caller"], "target": n["target"],
+             "method": n["method"]},
+            {"tick": 1, "op": "forge", "src": n["chain"], "dst": "b",
+             "payload": {"type": "rcall", "chain": n["rcall_chain"],
+                         "target": n["rcall_target"],
+                         "method": n["rcall_method"]}},
+            {"tick": 1, "op": "forge", "src": n["chain"], "dst": "b",
+             "payload": {"type": "anotify", "chain": n["anotify_chain"],
+                         "dest": n["anotify_dest"],
+                         "origin_chain": n["origin_chain"],
+                         "origin": n["origin"]}}],
     }
 
 
@@ -231,7 +248,15 @@ NAME_KINDS = {"chain": "chain id", "executor": "executor name",
               "local": "contract name", "owner": "owner",
               "trusted": "trusted name", "holder": "token holder",
               "txid": "txid", "originator": "originator",
-              "target": "target", "caller": "caller"}
+              "target": "target", "action_method": "method",
+              "caller": "caller", "method": "method",
+              "rcall_chain": "payload chain",
+              "rcall_target": "payload target",
+              "rcall_method": "payload method",
+              "anotify_chain": "payload chain",
+              "anotify_dest": "payload dest",
+              "origin_chain": "payload origin_chain",
+              "origin": "payload origin"}
 
 
 @pytest.mark.parametrize("key", sorted(NAME_KINDS))

@@ -1,6 +1,7 @@
 """Canonical text: `canon`'s type table renders every value of the trace's
-domain exactly as the plain isinstance chain it replaces, and the
-payload and address classes keep their text once computed."""
+domain exactly as the plain isinstance chain it replaces, the payload
+and address classes keep their text once computed, and an event renders
+as its fields in `_FIELD_ORDER`, each as `canon` writes it."""
 
 import copy
 import pickle
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from xchainsim import Address
 from xchainsim.bridge import Ack, Anotify, BridgeId, Rcall
 from xchainsim import trace
-from xchainsim.trace import canon
+from xchainsim.trace import Trace, canon
 
 
 def reference_canon(value):
@@ -82,6 +83,41 @@ values = st.recursive(
 def test_canon_matches_the_isinstance_chain(value):
     assert canon(value) == reference_canon(value)
     assert canon(value) == reference_canon(value)   # memoized text too
+
+
+def reference_line(tick, kind, chain, data):
+    """An event's line as written before the per-kind label tables: every
+    present key of its kind's order, each value through reference_canon."""
+    parts = ["tick=%d kind=%s" % (tick, kind)]
+    if chain is not None:
+        parts.append("chain=%s" % chain)
+    for key in trace._FIELD_ORDER[kind]:
+        value = data.get(key)
+        if value is not None:
+            parts.append(key + "=" + reference_canon(value))
+    return " ".join(parts)
+
+
+def event_fields(kind):
+    """A kind, a chain and a data dict with a random subset of the kind's
+    keys, some None, plus keys the kind does not render."""
+    keys = st.sampled_from(trace._FIELD_ORDER[kind] + ("extra", "zz"))
+    return st.tuples(
+        st.just(kind), st.none() | names,
+        st.dictionaries(keys, values | st.none() | st.integers().map(Tick)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 10**6),
+       st.sampled_from(sorted(trace._FIELD_ORDER)).flatmap(event_fields))
+def test_event_render_matches_the_field_order(tick, fields):
+    kind, chain, data = fields
+    log = Trace(tick=tick)
+    log.record(kind, chain, data)
+    event, = log.events
+    assert event.tick == tick
+    assert event.render() == reference_line(tick, kind, chain, data)
+    assert event.render() == reference_line(tick, kind, chain, data)
 
 
 @pytest.mark.parametrize("value", [None, 1.5, {"a": 1}, object()])
