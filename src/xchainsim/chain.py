@@ -5,10 +5,12 @@ A chain holds named contracts.  Each contract carries plain variables
 (int | bool | bytes values), lock metadata, and a method table of host
 functions.  Of its open block the chain keeps what the run reads: how
 many invokes, locks, unlocks and sends it records, and the sends
-themselves.  A seal step numbers the block and hands its sends to the
-engine; the block index is what bridge messages later cite as their
-origin.  The chain keeps only its height, and the engine counts an
-empty block without sealing it.
+themselves.  A seal step closes the block under the index the engine
+gives it (the tick divided by the chain's `seal_every`) and hands its
+sends to the engine; the block index is what bridge messages later cite
+as their origin.  A chain enters its id in the world's set of open
+chains when it records into its block, so the engine seals only those,
+and an empty block is neither sealed nor counted.
 
 Every attempt is recorded through the chain's trace, which stamps it
 with the tick the engine is running; a chain keeps no clock, so a
@@ -143,12 +145,14 @@ class MethodContext:
 
 
 class Chain:
-    def __init__(self, chain_id: str, trace: Trace, seal_every: int = 1):
+    def __init__(self, chain_id: str, trace: Trace, seal_every: int = 1,
+                 open_chains: Optional[set] = None):
         self.id = chain_id
         self.trace = trace
         self.seal_every = max(1, seal_every)
         self.contracts: dict[Address, Contract] = {}
-        self.height = 0  # blocks sealed so far, empty ones included
+        # the world's ids of chains whose open block holds a record
+        self.open_chains = set() if open_chains is None else open_chains
         self.pending = 0  # records in the open block
         self.sends: list = []  # the open block's bridge sends
         self.executor_addr: Optional[Address] = None
@@ -248,16 +252,17 @@ class Chain:
         """Add a bridge send to the open block."""
         self.sends.append(send)
         self.pending += 1
+        self.open_chains.add(self.id)
 
-    def seal_block(self) -> list:
-        """Close the open block as block `height` and return its sends."""
+    def seal_block(self, block: int) -> list:
+        """Close the open block as block `block` and return its sends."""
         sends = self.sends
         if self.pending:
-            self.trace.record(SEAL, self.id, {"block": self.height,
+            self.trace.record(SEAL, self.id, {"block": block,
                                               "count": self.pending})
-        self.height += 1
         self.pending = 0
         self.sends = []
+        self.open_chains.discard(self.id)
         return sends
 
     # Internals ----------------------------------------------------------
@@ -291,6 +296,7 @@ class Chain:
     def _record_invoke(self, caller, target, method, params, depth, outcome,
                        writes, txid, actor) -> None:
         self.pending += 1
+        self.open_chains.add(self.id)
         data = {"caller": caller, "target": target, "method": method,
                 "params": list(params), "depth": depth, "ok": outcome.ok}
         if outcome.ok and outcome.result is not None:
@@ -307,6 +313,7 @@ class Chain:
 
     def _lock_event(self, caller, target, ok, reason, txid) -> InvokeOutcome:
         self.pending += 1
+        self.open_chains.add(self.id)
         data = {"caller": caller, "target": target, "ok": ok}
         if reason:
             data["err"] = reason
@@ -318,6 +325,7 @@ class Chain:
     def _unlock_event(self, caller, target, failure, ok, reason,
                       txid) -> InvokeOutcome:
         self.pending += 1
+        self.open_chains.add(self.id)
         data = {"caller": caller, "target": target, "failure": failure,
                 "ok": ok}
         if reason:

@@ -9,8 +9,10 @@ delays, each citing the block's index as its origin.
 
 A tick costs what happens in it: the tick is written once, into the
 trace, which stamps every event recorded during it (no chain keeps a
-clock); delivery visits only the bridges that hold messages, and a chain
-with an empty open block counts it instead of sealing it.
+clock); delivery visits only the bridges that hold messages, and sealing
+only the chains whose open block holds a record.  A block's index is the
+tick it seals at divided by its chain's `seal_every`, so an empty block
+needs no work to be counted.
 
 All nondeterminism (delays, reorder permutations) draws from one seeded
 generator, so a (scenario, seed) pair fully determines the trace.
@@ -82,6 +84,8 @@ class World:
         # Every bridge with queued messages, and possibly some whose queue
         # a drop emptied; the next delivery phase prunes those.
         self.active_bridges: set[BridgeId] = set()
+        # Every chain whose open block holds a record; its chain adds it.
+        self.open_chains: set[str] = set()
         self.adapters: dict[Address, Adapter] = {}
         self.executors: dict[str, ExecutorContract] = {}
         self.transactions: dict[str, CrossChainTransaction] = {}
@@ -101,7 +105,8 @@ class World:
                   seal_every: int = 1) -> Chain:
         if chain_id in self.chains:
             raise ScenarioError("duplicate chain %s" % chain_id)
-        chain = Chain(chain_id, self.trace, seal_every=seal_every)
+        chain = Chain(chain_id, self.trace, seal_every=seal_every,
+                      open_chains=self.open_chains)
         self.chains[chain_id] = chain
         exec_addr = Address(chain_id, executor_local)
         executor = ExecutorContract(self, chain, exec_addr)
@@ -244,7 +249,6 @@ class World:
         last_scheduled = max([t for t, _ in self.tx_schedule] +
                              [i.tick for i in self.injections] + [0])
 
-        chains = [self.chains[chain_id] for chain_id in sorted(self.chains)]
         try:
             for tick in range(stop.max_ticks):
                 self.trace.tick = tick
@@ -281,13 +285,10 @@ class World:
                                  "propose", [txid.encode()], txid=txid)
                     self._drain_kicks()
 
-                for chain in chains:
-                    if tick % chain.seal_every != 0:
-                        continue
-                    if chain.pending:
+                for chain_id in sorted(self.open_chains):
+                    chain = self.chains[chain_id]
+                    if tick % chain.seal_every == 0:
                         self._seal_chain(chain, tick)
-                    else:
-                        chain.height += 1   # counted, not built
 
                 self.end_tick = tick
                 if stop.quiesce and tick >= last_scheduled and \
@@ -307,8 +308,9 @@ class World:
             self.kicks.pop(0).start()
 
     def _seal_chain(self, chain: Chain, tick: int) -> None:
-        block = chain.height
-        for bridge_id, msg_id, sender, dest, payload in chain.seal_block():
+        block = tick // chain.seal_every
+        for bridge_id, msg_id, sender, dest, payload in \
+                chain.seal_block(block):
             message = BridgeMessage(msg_id, payload, dest, origin_block=block)
             self.bridges[bridge_id].enqueue(message, tick, self.rng)
             self.active_bridges.add(bridge_id)
@@ -319,7 +321,7 @@ class World:
     def quiescent(self) -> bool:
         if any(self.bridges[b].queue for b in self.active_bridges):
             return False
-        if any(chain.sends for chain in self.chains.values()):
+        if any(self.chains[c].sends for c in self.open_chains):
             return False
         if any(not m.done for m in self.machines):
             return False

@@ -23,6 +23,15 @@ def _as_int(value) -> int:
     return value
 
 
+def _int_var(ctx, key: str) -> int:
+    """A variable the method counts with; a scenario may have set it to
+    any value, and a non-int one refuses the call."""
+    value = ctx.vars.get(key, 0)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MethodFailure("BadState")
+    return value
+
+
 def _balance_key(account: str) -> str:
     return "bal:" + account
 
@@ -57,7 +66,7 @@ def _token_mint(ctx):
 def _counter_incr(ctx):
     if len(ctx.params) != 1:
         raise MethodFailure("BadParams")
-    ctx.vars["count"] = ctx.vars.get("count", 0) + _as_int(ctx.params[0])
+    ctx.vars["count"] = _int_var(ctx, "count") + _as_int(ctx.params[0])
     return ctx.vars["count"]
 
 
@@ -81,7 +90,7 @@ def _notification(ctx):
     # (origin contract, origin chain, data).
     if len(ctx.params) != 3:
         raise MethodFailure("BadParams")
-    ctx.vars["note_count"] = ctx.vars.get("note_count", 0) + 1
+    ctx.vars["note_count"] = _int_var(ctx, "note_count") + 1
     ctx.vars["note_last"] = ctx.params[2]
     return True
 

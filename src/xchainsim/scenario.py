@@ -3,12 +3,14 @@
 A scenario file describes chains with their contracts, the bridges
 between them, the cross-chain transactions to propose, and an optional
 adversary script of timed injections.  `load_scenario` parses and fully
-validates a file, including that no name holds a character the trace
-uses as a separator; `build_world` turns the result plus a seed into a
-runnable World, and rejects an adversary entry that names a missing
-chain or bridge, or a bridge that is not adversarial.  Bundled scenarios
-under ``xchainsim/scenarios/`` can be referenced by bare name instead of
-a path.
+validates a file: one typed reader per field returns the field checked,
+or raises ValidationError at its location (``swap.bridges[1].max_delay``),
+which the CLI reports with exit code 2.  A field left out takes its
+default; a null is a wrong type like any other.  `build_world` turns the
+result plus a seed into a runnable World, and rejects an adversary entry
+that names a missing chain or bridge, or a bridge that is not
+adversarial.  Bundled scenarios under ``xchainsim/scenarios/`` can be
+referenced by bare name instead of a path.
 """
 
 from __future__ import annotations
@@ -84,35 +86,98 @@ class Scenario:
     adversary: list = field(default_factory=list)   # of Injection
 
 
-def _require(cond: bool, where: str, message: str, *args) -> None:
-    """Raise unless `cond`; the message is `message % args`, formatted
-    only then."""
-    if not cond:
-        raise ValidationError("%s: %s" % (where, message % args))
-
-
 # Characters that separate the tokens of a trace line, or the parts of an
 # address (chain/local), a bridge (src>dst#tag) or an adapter's local name
 # (adapter:chain).  No name may hold one, or its trace could not be split
 # back into the names it was written from.
 _SEPARATOR = re.compile(r"[\s=,/:#>\[\](){}]")
+_NAME_RULE = ("must be a non-empty string with no whitespace or any of "
+              "= , / : # > [ ] ( ) { }")
+_REQUIRED = object()   # the default of a field that has none
+_VALUE = {int: int, bool: bool, str: str.encode}   # type -> conversion
 
 
-def _name(raw, where: str, what: str) -> str:
-    text = str(raw)
-    _require(bool(text) and not _SEPARATOR.search(text), where,
-             "%s %r must be non-empty and hold no whitespace or any of "
-             "= , / : # > [ ] ( ) { }", what, text)
-    return text
+def _at(where: str, key) -> str:
+    return ("%s[%d]" if type(key) is int else "%s.%s") % (where, key)
 
 
-def _value(raw, where: str):
-    if isinstance(raw, bool) or isinstance(raw, int):
-        return raw
-    if isinstance(raw, str):
-        return raw.encode("utf-8")
-    raise ValidationError("%s: unsupported value %r (use int, bool, or "
-                          "string)" % (where, raw))
+def _reject(where: str, key, value, rule: str):
+    text = "missing" if value is _REQUIRED else "%r %s" % (value, rule)
+    raise ValidationError("%s: %s" % (_at(where, key), text))
+
+
+def _mapping(raw: dict, key, where: str, default=_REQUIRED) -> tuple:
+    """The mapping at `key`, after its location."""
+    value = raw.get(key, default)
+    if not isinstance(value, dict):
+        _reject(where, key, value, "must be a mapping")
+    return _at(where, key), value
+
+
+def _list(raw: dict, key, where: str, read, default=()) -> list:
+    """The list at `key`, each item read by `read` under its index."""
+    items = raw.get(key, default)
+    if not isinstance(items, (list, tuple)):
+        _reject(where, key, items, "must be a list")
+    if not items:
+        return []
+    at, indexed = _at(where, key), dict(enumerate(items))
+    return [read(indexed, j, at) for j in indexed]
+
+
+def _name(raw: dict, key, where: str, default=_REQUIRED) -> str:
+    value = raw.get(key, default)
+    if not isinstance(value, str) or not value or _SEPARATOR.search(value):
+        _reject(where, key, value, _NAME_RULE)
+    return value
+
+
+def _int(raw: dict, key, where: str, default=_REQUIRED, low: int = 0) -> int:
+    value = raw.get(key, default)
+    if type(value) is not int or value < low:
+        _reject(where, key, value, "must be an int >= %d" % low)
+    return value
+
+
+def _pair(raw: dict, key, where: str) -> tuple:
+    pair = _list(raw, key, where, _int)
+    if len(pair) != 2:
+        _reject(where, key, pair, "must be a [before, after] pair")
+    return tuple(pair)
+
+
+def _bool(raw: dict, key, where: str, default=_REQUIRED) -> bool:
+    value = raw.get(key, default)
+    if type(value) is not bool:
+        _reject(where, key, value, "must be true or false")
+    return value
+
+
+def _choice(raw: dict, key, where: str, choices, default=_REQUIRED) -> str:
+    value = raw.get(key, default)
+    if not isinstance(value, str) or value not in choices:
+        _reject(where, key, value,
+                "must be one of " + ", ".join(sorted(choices)))
+    return value
+
+
+def _value(raw: dict, key, where: str, default=_REQUIRED):
+    """A param or contract variable; a string becomes UTF-8 bytes."""
+    value = raw.get(key, default)
+    if type(value) not in _VALUE:
+        _reject(where, key, value, "must be an int, bool or string")
+    return _VALUE[type(value)](value)
+
+
+def _values(raw: dict, key, where: str) -> list:
+    """The params at `key`, read in one pass as `_value` reads each."""
+    items = raw.get(key, ())
+    if isinstance(items, (list, tuple)):
+        try:
+            return [_VALUE[type(value)](value) for value in items]
+        except KeyError:
+            pass
+    return _list(raw, key, where, _value)   # raises at the wrong type
 
 
 def bundled_scenarios() -> list:
@@ -140,114 +205,77 @@ def load_scenario(ref: str) -> Scenario:
         raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except yaml.YAMLError as err:
         raise ValidationError("%s: parse error: %s" % (path, err)) from None
-    if not isinstance(raw, dict):
-        raise ValidationError("%s: top level must be a mapping" % path)
     return parse_scenario(raw, default_name=path.stem)
 
 
 def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
-    name = raw.get("name", default_name)
-    lock_order = raw.get("lock_order", "canonical")
-    _require(lock_order in ("canonical", "declared"), name,
-             "lock_order must be canonical or declared")
-    stop_raw = raw.get("stop", {})
-    stop = StopCondition(quiesce=bool(stop_raw.get("quiesce", True)),
-                         max_ticks=int(stop_raw.get("max_ticks", 400)))
-    scenario = Scenario(name=name, lock_order=lock_order, stop=stop)
+    if not isinstance(raw, dict):
+        raise ValidationError("%s: top level must be a mapping" % default_name)
+    name = _name(raw, "name", default_name, default_name)
+    stop_at, stop = _mapping(raw, "stop", name, {})
+    scenario = Scenario(
+        name=name,
+        lock_order=_choice(raw, "lock_order", name, ("canonical", "declared"),
+                           "canonical"),
+        stop=StopCondition(quiesce=_bool(stop, "quiesce", stop_at, True),
+                           max_ticks=_int(stop, "max_ticks", stop_at, 400,
+                                          low=1)))
 
     chain_ids = set()
-    for i, chain_raw in enumerate(raw.get("chains", [])):
-        where = "%s.chains[%d]" % (name, i)
-        _require("id" in chain_raw, where, "missing chain id")
-        chain_id = _name(chain_raw["id"], where, "chain id")
-        _require(chain_id not in chain_ids, where, "duplicate chain %s",
-                 chain_id)
+    for where, chain_raw in _list(raw, "chains", name, _mapping):
+        chain_id = _name(chain_raw, "id", where)
+        if chain_id in chain_ids:
+            _reject(where, "id", chain_id, "is declared twice")
         chain_ids.add(chain_id)
-        contracts = []
-        for j, c_raw in enumerate(chain_raw.get("contracts", [])):
-            cwhere = "%s.contracts[%d]" % (where, j)
-            _require("local" in c_raw, cwhere, "missing contract name")
-            kind = c_raw.get("kind", "token")
-            _require(kind in library_kinds(), cwhere,
-                     "unknown contract kind %r (known: %s)",
-                     kind, ", ".join(library_kinds()))
-            init = c_raw.get("init", {}) or {}
-            _require(isinstance(init, dict), cwhere, "init must be a mapping")
-            if kind == "token":
-                for holder in init:
-                    _name(holder, cwhere, "token holder")
-            contracts.append(ContractSpec(
-                local=_name(c_raw["local"], cwhere, "contract name"),
-                kind=kind,
-                owner=_name(c_raw.get("owner", "owner"), cwhere, "owner"),
-                init=dict(init),
-                trusted=[_name(t, cwhere, "trusted name")
-                         for t in c_raw["trusted"]]
-                if "trusted" in c_raw else None))
-        seal_every = int(chain_raw.get("seal_every", 1))
-        _require(seal_every >= 1, where, "seal_every must be positive")
         scenario.chains.append(ChainSpec(
             chain_id=chain_id,
-            executor=_name(chain_raw.get("executor", "exec"), where,
-                           "executor name"),
-            seal_every=seal_every, contracts=contracts))
-    _require(bool(scenario.chains), name, "at least one chain is required")
+            executor=_name(chain_raw, "executor", where, "exec"),
+            seal_every=_int(chain_raw, "seal_every", where, 1, low=1),
+            contracts=[_parse_contract(c_raw, cwhere) for cwhere, c_raw
+                       in _list(chain_raw, "contracts", where, _mapping)]))
+    if not scenario.chains:
+        raise ValidationError("%s: at least one chain is required" % name)
 
-    for i, b_raw in enumerate(raw.get("bridges", [])):
-        where = "%s.bridges[%d]" % (name, i)
-        for key in ("src", "dst"):
-            _require(key in b_raw, where, "missing %s", key)
-            _require(str(b_raw[key]) in chain_ids, where,
-                     "unknown chain %r", b_raw[key])
-        mode = b_raw.get("mode", HONEST)
-        _require(mode in (HONEST, ADVERSARIAL), where,
-                 "mode must be honest or adversarial")
+    for where, b_raw in _list(raw, "bridges", name, _mapping):
         scenario.bridges.append(BridgeSpec(
-            src=str(b_raw["src"]), dst=str(b_raw["dst"]),
-            max_delay=int(b_raw.get("max_delay", 3)),
-            reorder=bool(b_raw.get("reorder", False)), mode=mode,
-            tag=int(b_raw.get("tag", 0))))
+            src=_choice(b_raw, "src", where, chain_ids),
+            dst=_choice(b_raw, "dst", where, chain_ids),
+            max_delay=_int(b_raw, "max_delay", where, 3, low=1),
+            reorder=_bool(b_raw, "reorder", where, False),
+            mode=_choice(b_raw, "mode", where, (HONEST, ADVERSARIAL), HONEST),
+            tag=_int(b_raw, "tag", where, 0)))
 
-    for i, t_raw in enumerate(raw.get("transactions", [])):
-        where = "%s.transactions[%d]" % (name, i)
-        _require("txid" in t_raw, where, "missing txid")
-        _require("proposer" in t_raw, where, "missing proposer chain")
-        _require(str(t_raw["proposer"]) in chain_ids, where,
-                 "unknown proposer chain %r", t_raw["proposer"])
-        actions = []
-        for j, a_raw in enumerate(t_raw.get("actions", [])):
-            awhere = "%s.actions[%d]" % (where, j)
-            for key in ("chain", "target", "method"):
-                _require(key in a_raw, awhere, "missing %s", key)
-            _require(str(a_raw["chain"]) in chain_ids, awhere,
-                     "unknown chain %r", a_raw["chain"])
-            params = [_value(p, awhere) for p in a_raw.get("params", [])]
-            actions.append({"id": int(a_raw.get("id", j)),
-                            "chain": str(a_raw["chain"]),
-                            "target": _name(a_raw["target"], awhere,
-                                            "target"),
-                            "method": _name(a_raw["method"], awhere,
-                                            "method"),
-                            "params": params})
-        prec = []
-        for pair in t_raw.get("prec", []):
-            _require(isinstance(pair, (list, tuple)) and len(pair) == 2,
-                     where, "prec entries must be [before, after] pairs")
-            prec.append((int(pair[0]), int(pair[1])))
+    for where, t_raw in _list(raw, "transactions", name, _mapping):
+        actions = [{"id": _int(a_raw, "id", awhere, j),
+                    "chain": _choice(a_raw, "chain", awhere, chain_ids),
+                    "target": _name(a_raw, "target", awhere),
+                    "method": _name(a_raw, "method", awhere),
+                    "params": _values(a_raw, "params", awhere)}
+                   for j, (awhere, a_raw)
+                   in enumerate(_list(t_raw, "actions", where, _mapping))]
         scenario.transactions.append(TransactionSpec(
-            txid=_name(t_raw["txid"], where, "txid"),
-            proposer=str(t_raw["proposer"]),
-            originator=_name(t_raw.get("originator", "origin"), where,
-                             "originator"),
-            tick=int(t_raw.get("tick", 0)), actions=actions, prec=prec))
+            txid=_name(t_raw, "txid", where),
+            proposer=_choice(t_raw, "proposer", where, chain_ids),
+            originator=_name(t_raw, "originator", where, "origin"),
+            tick=_int(t_raw, "tick", where, 0), actions=actions,
+            prec=_list(t_raw, "prec", where, _pair)))
 
-    for i, inj_raw in enumerate(raw.get("adversary", [])):
-        where = "%s.adversary[%d]" % (name, i)
-        _require("op" in inj_raw, where, "missing op")
-        _require("tick" in inj_raw, where, "missing tick")
-        scenario.adversary.append(_parse_injection(inj_raw, where))
-
+    scenario.adversary = [_parse_injection(inj_raw, where) for where, inj_raw
+                          in _list(raw, "adversary", name, _mapping)]
     return scenario
+
+
+def _parse_contract(raw: dict, where: str) -> ContractSpec:
+    kind = _choice(raw, "kind", where, library_kinds(), "token")
+    init_at, init = _mapping(raw, "init", where, {})
+    read = _int if kind == "token" else _value   # a balance is an int
+    return ContractSpec(
+        local=_name(raw, "local", where), kind=kind,
+        owner=_name(raw, "owner", where, "owner"),
+        init={key: read(init, key, init_at)   # each key is a name
+              for key in _list({"init": list(init)}, "init", where, _name)},
+        trusted=_list(raw, "trusted", where, _name) if "trusted" in raw
+        else None)
 
 
 def build_world(scenario: Scenario, seed: int = 0,
@@ -268,8 +296,7 @@ def build_world(scenario: Scenario, seed: int = 0,
     for t in scenario.transactions:
         actions = [IndexedAction(action_id=a["id"], chain=a["chain"],
                                  target=Address(a["chain"], a["target"]),
-                                 method=a["method"],
-                                 params=tuple(a["params"]))
+                                 method=a["method"], params=tuple(a["params"]))
                    for a in t.actions]
         txn = CrossChainTransaction(
             txid=t.txid, actions=actions, prec=set(t.prec),
@@ -282,78 +309,50 @@ def build_world(scenario: Scenario, seed: int = 0,
 
 
 def _parse_injection(raw: dict, where: str) -> Injection:
-    op = str(raw["op"])
-    tick = int(raw["tick"])
+    op = _choice(raw, "op", where, CHAIN_OPS + BRIDGE_OPS)
+    tick = _int(raw, "tick", where)
     if op in CHAIN_OPS:
-        for key in ("chain", "caller", "target"):
-            _require(key in raw, where, "missing %s", key)
-        chain = str(raw["chain"])
+        chain = _name(raw, "chain", where)
         injection = Injection(
             tick=tick, op=op, chain=chain,
-            caller=Address(chain, _name(raw["caller"], where, "caller")),
-            target=Address(chain, _name(raw["target"], where, "target")),
-            failure=bool(raw.get("failure", False)))
+            caller=Address(chain, _name(raw, "caller", where)),
+            target=Address(chain, _name(raw, "target", where)),
+            failure=_bool(raw, "failure", where, False))
         if op == "invoke":
-            _require("method" in raw, where, "missing method")
-            injection.method = _name(raw["method"], where, "method")
-            injection.params = [_value(p, where)
-                                for p in raw.get("params", [])]
+            injection.method = _name(raw, "method", where)
+            injection.params = _values(raw, "params", where)
         return injection
-    if op in BRIDGE_OPS:
-        for key in ("src", "dst"):
-            _require(key in raw, where, "missing %s", key)
-        bridge = BridgeId(str(raw["src"]), str(raw["dst"]),
-                          int(raw.get("tag", 0)))
-        injection = Injection(tick=tick, op=op, bridge=bridge)
-        if op == "forge":
-            injection.payload = _parse_payload(raw.get("payload"), where)
-            injection.fake_block = int(raw.get("fake_block", 0))
-            if "dest" in raw:
-                injection.dest = Address(bridge.dst,
-                                         _name(raw["dest"], where, "dest"))
-        else:
-            if "msgid" in raw:
-                injection.msg_id = int(raw["msgid"])
-            else:
-                injection.queue_index = int(raw.get("index", 0))
-            if op == "corrupt":
-                injection.payload = _parse_payload(raw.get("payload"), where)
-        return injection
-    raise ValidationError("%s: unknown op %r" % (where, op))
+    bridge = BridgeId(_name(raw, "src", where), _name(raw, "dst", where),
+                      _int(raw, "tag", where, 0))
+    injection = Injection(tick=tick, op=op, bridge=bridge)
+    if op == "forge":
+        injection.fake_block = _int(raw, "fake_block", where, 0)
+        if "dest" in raw:
+            injection.dest = Address(bridge.dst, _name(raw, "dest", where))
+    elif "msgid" in raw:
+        injection.msg_id = _int(raw, "msgid", where)
+    else:
+        injection.queue_index = _int(raw, "index", where, 0)
+    if op != "drop":
+        injection.payload = _parse_payload(*_mapping(raw, "payload", where))
+    return injection
 
 
-def _parse_payload(raw, where: str):
-    _require(isinstance(raw, dict) and "type" in raw, where,
-             "payload must be a mapping with a type")
-    ptype = str(raw["type"])
+def _parse_payload(where: str, raw: dict):
+    ptype = _choice(raw, "type", where, ("ack", "anotify", "rcall"))
     if ptype == "ack":
-        result = raw.get("result")
-        return Ack(seq=int(raw.get("seq", 0)),
-                   ok=bool(raw.get("ok", True)),
-                   result=_value(result, where) if result is not None
-                   else None)
+        return Ack(seq=_int(raw, "seq", where, 0),
+                   ok=_bool(raw, "ok", where, True),
+                   result=_value(raw, "result", where)
+                   if "result" in raw else None)
+    chain = _name(raw, "chain", where)
     if ptype == "anotify":
-        _require("dest" in raw and "chain" in raw, where,
-                 "anotify payload needs chain and dest")
-        seq = raw.get("seq")
-        chain = _name(raw["chain"], where, "payload chain")
-        return Anotify(origin=Address(_name(raw.get("origin_chain", chain),
-                                            where, "payload origin_chain"),
-                                      _name(raw.get("origin", "forged"),
-                                            where, "payload origin")),
-                       data=_value(raw.get("data", ""), where),
-                       seq=int(seq) if seq is not None else None,
-                       dest=Address(chain, _name(raw["dest"], where,
-                                                 "payload dest")))
-    if ptype == "rcall":
-        _require("chain" in raw and "target" in raw and "method" in raw,
-                 where, "rcall payload needs chain, target, method")
-        return Rcall(target=Address(_name(raw["chain"], where,
-                                          "payload chain"),
-                                    _name(raw["target"], where,
-                                          "payload target")),
-                     method=_name(raw["method"], where, "payload method"),
-                     params=tuple(_value(p, where)
-                                  for p in raw.get("params", [])),
-                     seq=int(raw.get("seq", 0)))
-    raise ValidationError("%s: unknown payload type %r" % (where, ptype))
+        return Anotify(origin=Address(_name(raw, "origin_chain", where, chain),
+                                      _name(raw, "origin", where, "forged")),
+                       data=_value(raw, "data", where, ""),
+                       seq=_int(raw, "seq", where) if "seq" in raw else None,
+                       dest=Address(chain, _name(raw, "dest", where)))
+    return Rcall(target=Address(chain, _name(raw, "target", where)),
+                 method=_name(raw, "method", where),
+                 params=tuple(_values(raw, "params", where)),
+                 seq=_int(raw, "seq", where, 0))

@@ -19,10 +19,10 @@ def test_origin_block_bound_at_seal(two_chain_world):
     chain = world.chains["left"]
     chain.invoke(Address("left", "alice"), Address("left", "token"),
                  "transfer", [b"alice", b"bob", 1])
-    chain.seal_block()   # block 0, no sends
+    chain.seal_block(0)   # no sends
     adapter.notify(Address("left", "alice"), b"one", Address("right", "token"))
     adapter.notify(Address("left", "alice"), b"two", Address("right", "token"))
-    world._seal_chain(chain, 0)  # block 1 carries both sends
+    world._seal_chain(chain, 1)  # block 1 carries both sends
     queued = world.bridges[BridgeId("left", "right")].queue
     assert [q.message.origin_block for q in queued] == [1, 1]
 

@@ -129,17 +129,19 @@ def test_seal_block_indices_and_counts(two_chain_world):
     alice, token = Address("left", "alice"), Address("left", "token")
     for _ in range(3):
         chain.invoke(alice, token, "transfer", [b"alice", b"bob", 1])
-    assert chain.seal_block() == []
+    assert chain.seal_block(0) == []
+    assert world.open_chains == set()
     # a refused lock, a refused unlock and a send count like invokes
     assert not chain.lock(alice, token).ok
     assert not chain.unlock(alice, token, failure=False).ok
     world.adapter_between("left", "right").notify(
         alice, b"x", Address("right", "token"))
-    [send] = chain.seal_block()
+    assert world.open_chains == {"left"}
+    [send] = chain.seal_block(1)
     assert send[0].canon() == "left>right#0"
     assert chain.pending == 0 and chain.sends == []
-    assert chain.seal_block() == []   # empty: counted, no seal event
-    assert chain.height == 3
+    assert world.open_chains == set()
+    assert chain.seal_block(2) == []   # empty: no seal event
     assert [e.data for e in world.trace.events if e.kind == SEAL] == [
         {"block": 0, "count": 3}, {"block": 1, "count": 3}]
 
@@ -289,7 +291,7 @@ def test_standalone_chain_stamps_events_with_its_traces_tick():
     chain.lock(ALICE, TOKEN)
     chain.unlock(ALICE, TOKEN, failure=True)
     trace.tick = 9
-    chain.seal_block()
+    chain.seal_block(0)
     assert [(e.tick, e.kind) for e in trace.events] == [
         (0, "invoke"), (7, "lock"), (7, "unlock"), (9, "seal")]
     assert trace.events[-1].render() == \

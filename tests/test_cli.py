@@ -6,7 +6,7 @@ from xchainsim import (FatalScenarioError, ValidationError, World,
                        parse_scenario)
 from xchainsim.cli import main
 
-NAME_RULE = ("must be non-empty and hold no whitespace or any of "
+NAME_RULE = ("must be a non-empty string with no whitespace or any of "
              "= , / : # > [ ] ( ) { }")
 
 BAD_ADVERSARY_SCENARIO = """\
@@ -88,7 +88,80 @@ chains:
     assert main(["check", "--scenario", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: spaces.chains[0]: chain id 'a b' ")
+    assert captured.err.startswith("error: spaces.chains[0].id: 'a b' ")
+
+
+MALFORMED_SCENARIO = """\
+stop: %(stop)s
+chains:
+  - id: a
+    contracts:
+      - {local: token, kind: token, owner: alice, init: %(token_init)s}
+      - {local: reg, kind: counter, init: %(counter_init)s}
+  - id: b
+    contracts: [{local: token, kind: token, owner: bob}]
+bridges: %(bridges)s
+transactions:
+  - {txid: t, proposer: a, tick: %(tick)s, actions: %(actions)s}
+adversary: %(adversary)s
+"""
+WELL_FORMED = {
+    "stop": "{quiesce: true}", "token_init": "{alice: 5}",
+    "counter_init": "{count: 0}", "tick": "0",
+    "bridges": "[{src: a, dst: b}, {src: b, dst: a}]",
+    "actions": "[{chain: a, target: token, method: transfer, "
+               "params: [alice, bob, 1]}]",
+    "adversary": "[]"}
+
+
+@pytest.mark.parametrize("field,text,message", [
+    ("bridges", "[7]", "bad.bridges[0]: 7 must be a mapping"),
+    ("actions", "[5]", "bad.transactions[0].actions[0]: 5 must be a mapping"),
+    ("adversary", "[5]", "bad.adversary[0]: 5 must be a mapping"),
+    ("adversary", "5", "bad.adversary: 5 must be a list"),
+    ("stop", "5", "bad.stop: 5 must be a mapping"),
+    ("stop", "{max_ticks: abc}", "bad.stop.max_ticks: 'abc' must be an int "
+     ">= 1"),
+    ("stop", "{quiesce: 'false'}", "bad.stop.quiesce: 'false' must be true "
+     "or false"),
+    ("counter_init", "{count: 1.5}", "bad.chains[0].contracts[1].init.count: "
+     "1.5 must be an int, bool or string"),
+    ("counter_init", "{count: [1, 2]}", "bad.chains[0].contracts[1].init."
+     "count: [1, 2] must be an int, bool or string"),
+    ("token_init", "{x: notanint}", "bad.chains[0].contracts[0].init.x: "
+     "'notanint' must be an int >= 0"),
+    ("tick", "-3", "bad.transactions[0].tick: -3 must be an int >= 0"),
+    ("bridges", "[{src: a, dst: b, max_delay: 0}]",
+     "bad.bridges[0].max_delay: 0 must be an int >= 1"),
+    ("bridges", "[{src: a, dst: z}]",
+     "bad.bridges[0].dst: 'z' must be one of a, b"),
+    ("actions", "[{chain: a, target: token, method: transfer, params: 5}]",
+     "bad.transactions[0].actions[0].params: 5 must be a list"),
+    ("actions", "[{chain: a, method: transfer}]",
+     "bad.transactions[0].actions[0].target: missing"),
+], ids=["bridge-int", "action-int", "injection-int", "adversary-int",
+        "stop-int", "max-ticks-str", "quiesce-quoted", "init-float",
+        "init-list", "balance-str", "tick-negative", "delay-zero",
+        "unknown-chain", "params-int", "target-missing"])
+def test_check_malformed_scenario_exits_2_at_its_location(
+        field, text, message, tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(MALFORMED_SCENARIO % dict(WELL_FORMED, **{field: text}))
+    assert main(["check", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("stem,name", [("bad", "x y"), ("x y", None)])
+def test_check_scenario_name_and_file_stem_are_names(stem, name, tmp_path,
+                                                      capsys):
+    path = tmp_path / ("%s.yaml" % stem)
+    text = MALFORMED_SCENARIO % WELL_FORMED
+    path.write_text(text if name is None else "name: %s\n%s" % (name, text))
+    assert main(["check", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: %s.name: 'x y' %s\n" % (stem, NAME_RULE)
 
 
 def test_metrics_prints_table(capsys):
@@ -166,10 +239,10 @@ def test_sweep_budget_exceeded_names_seed_and_exits_3(capsys):
     ("{tick: 1, op: forge, src: a, dst: b, payload: {type: ack}}",
      "adversary forge at tick 1: bridge a>b#0 is not adversarial"),
     ("{tick: 1, op: invoke, chain: a, caller: eve, target: token, "
-     "method: m x}", "bad-adversary.adversary[0]: method 'm x' " + NAME_RULE),
+     "method: m x}", "bad-adversary.adversary[0].method: 'm x' " + NAME_RULE),
     ("{tick: 1, op: forge, src: a, dst: b, payload: {type: rcall, chain: b, "
      "target: token, method: m x}}",
-     "bad-adversary.adversary[0]: payload method 'm x' " + NAME_RULE),
+     "bad-adversary.adversary[0].payload.method: 'm x' " + NAME_RULE),
 ], ids=["unknown-bridge", "unknown-chain", "honest-bridge",
         "invoke-method-space", "payload-method-space"])
 def test_check_bad_adversary_entry_exits_2(entry, message, tmp_path,
@@ -202,5 +275,7 @@ adversary:
 def test_unknown_adversary_op_is_rejected_when_parsed():
     raw = {"chains": [{"id": "a"}],
            "adversary": [{"tick": 1, "op": "explode"}]}
-    with pytest.raises(ValidationError, match=r"adversary\[0\]: unknown op"):
+    with pytest.raises(ValidationError,
+                       match=r"bad\.adversary\[0\]\.op: 'explode' must be "
+                             r"one of corrupt, drop, forge, invoke, lock"):
         parse_scenario(raw, default_name="bad")

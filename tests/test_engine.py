@@ -4,6 +4,7 @@ from active bridges, scenario loading and validation."""
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xchainsim import (Address, Injection, ScenarioError, StopCondition,
                        ValidationError, World, build_world, bundled_scenarios,
@@ -206,7 +207,8 @@ def named_scenario(**names) -> dict:
     """A two-chain scenario with a transaction, an adversary invoke and
     two forged payloads, whose names are the defaults below unless given
     in `names`."""
-    n = dict(chain="a", executor="exec", local="tok", owner="alice",
+    n = dict(name="names", chain="a", executor="exec", local="tok",
+             owner="alice",
              trusted="exec", holder="alice", txid="t", originator="alice",
              target="tok", action_method="transfer", caller="eve",
              method="transfer", rcall_chain="b", rcall_target="tok",
@@ -214,7 +216,7 @@ def named_scenario(**names) -> dict:
              origin_chain="a", origin="eve")
     n.update(names)
     return {
-        "name": "names",
+        "name": n["name"],
         "chains": [{"id": n["chain"], "executor": n["executor"],
                     "contracts": [{"local": n["local"], "kind": "token",
                                    "owner": n["owner"],
@@ -244,19 +246,28 @@ def named_scenario(**names) -> dict:
     }
 
 
-NAME_KINDS = {"chain": "chain id", "executor": "executor name",
-              "local": "contract name", "owner": "owner",
-              "trusted": "trusted name", "holder": "token holder",
-              "txid": "txid", "originator": "originator",
-              "target": "target", "action_method": "method",
-              "caller": "caller", "method": "method",
-              "rcall_chain": "payload chain",
-              "rcall_target": "payload target",
-              "rcall_method": "payload method",
-              "anotify_chain": "payload chain",
-              "anotify_dest": "payload dest",
-              "origin_chain": "payload origin_chain",
-              "origin": "payload origin"}
+# Where each name of `named_scenario` is read.  A name used in several
+# places is rejected at its first, in file order.
+CONTRACT = "names.chains[0].contracts[0]"
+ACTION = "names.transactions[0].actions[0]"
+NAME_KINDS = {"name": "scenario.name", "chain": "names.chains[0].id",
+              "executor": "names.chains[0].executor",
+              "local": CONTRACT + ".local", "owner": CONTRACT + ".owner",
+              "trusted": CONTRACT + ".trusted[0]",
+              "holder": CONTRACT + ".init[0]",
+              "txid": "names.transactions[0].txid",
+              "originator": "names.transactions[0].originator",
+              "target": ACTION + ".target",
+              "action_method": ACTION + ".method",
+              "caller": "names.adversary[0].caller",
+              "method": "names.adversary[0].method",
+              "rcall_chain": "names.adversary[1].payload.chain",
+              "rcall_target": "names.adversary[1].payload.target",
+              "rcall_method": "names.adversary[1].payload.method",
+              "anotify_chain": "names.adversary[2].payload.chain",
+              "anotify_dest": "names.adversary[2].payload.dest",
+              "origin_chain": "names.adversary[2].payload.origin_chain",
+              "origin": "names.adversary[2].payload.origin"}
 
 
 @pytest.mark.parametrize("key", sorted(NAME_KINDS))
@@ -265,9 +276,94 @@ def test_names_that_would_break_the_trace_are_rejected(key):
     for bad in ["al ice", "a\tb", "x=y", "a,b", "a/b", "adapter:x", "a#1",
                 "a>b", "[a]", "{a}", "(a)", ""]:
         with pytest.raises(ValidationError,
-                           match=re.escape("%s %r must"
+                           match=re.escape("%s: %r must"
                                            % (NAME_KINDS[key], bad))):
             parse_scenario(named_scenario(**{key: bad}))
+
+
+def fuzz_base() -> dict:
+    """The bundled swap with adversarial bridges, a precedence pair and
+    one injection of every op, each payload type among them."""
+    def token(owner, balances):
+        return {"local": "token", "kind": "token", "owner": owner,
+                "init": balances, "trusted": ["exec"]}
+    return {
+        "name": "fuzz", "lock_order": "canonical",
+        "stop": {"quiesce": True, "max_ticks": 60},
+        "chains": [
+            {"id": "fantom", "seal_every": 1, "executor": "exec",
+             "contracts": [token("alice", {"alice": 50, "bob": 10}),
+                           {"local": "side", "kind": "counter",
+                            "init": {"count": 0}}]},
+            {"id": "mumbai", "contracts": [token("bob", {"bob": 40}),
+                                           {"local": "box", "kind": "inbox",
+                                            "init": {"note_count": 0}}]}],
+        "bridges": [{"src": a, "dst": b, "max_delay": 3, "reorder": True,
+                     "mode": "adversarial", "tag": 0}
+                    for a, b in [("fantom", "mumbai"), ("mumbai", "fantom")]],
+        "transactions": [{
+            "txid": "swap1", "proposer": "fantom", "originator": "alice",
+            "tick": 0, "prec": [[0, 1]], "actions": [
+                {"id": 0, "chain": "fantom", "target": "token",
+                 "method": "transfer", "params": ["alice", "bob", 5]},
+                {"id": 1, "chain": "mumbai", "target": "token",
+                 "method": "transfer", "params": ["bob", "alice", 7]}]}],
+        "adversary": [
+            {"tick": 2, "op": "invoke", "chain": "fantom", "caller": "eve",
+             "target": "side", "method": "incr", "params": [1]},
+            {"tick": 3, "op": "lock", "chain": "mumbai", "caller": "eve",
+             "target": "token"},
+            {"tick": 4, "op": "unlock", "chain": "mumbai", "caller": "eve",
+             "target": "token", "failure": True},
+            {"tick": 1, "op": "forge", "src": "mumbai", "dst": "fantom",
+             "fake_block": 0, "dest": "exec",
+             "payload": {"type": "ack", "seq": 9, "ok": True, "result": 1}},
+            {"tick": 2, "op": "corrupt", "src": "fantom", "dst": "mumbai",
+             "index": 0, "payload": {"type": "rcall", "chain": "mumbai",
+                                     "target": "token", "method": "mint",
+                                     "params": ["eve", 3], "seq": 0}},
+            {"tick": 2, "op": "forge", "src": "fantom", "dst": "mumbai",
+             "payload": {"type": "anotify", "chain": "mumbai",
+                         "dest": "box", "origin_chain": "fantom",
+                         "origin": "eve", "data": "x", "seq": 4}},
+            {"tick": 3, "op": "drop", "src": "mumbai", "dst": "fantom",
+             "msgid": 5}]}
+
+
+def node_paths(node, path=()):
+    """The path of every node below `node`: its keys and list indexes."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
+
+
+FUZZ_PATHS = list(node_paths(fuzz_base()))
+OTHER_VALUES = st.one_of(
+    st.integers(0, 9), st.integers(-9, -1), st.floats(allow_nan=False),
+    st.sampled_from(["", "x", "a b", "false", "fantom", "token", "1"]),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["x", "tick"]), st.integers(0, 3),
+                    max_size=1),
+    st.none(), st.booleans())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(FUZZ_PATHS), OTHER_VALUES)
+def test_a_mistyped_node_is_a_scenario_error_or_runs(path, value):
+    raw = fuzz_base()
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        scenario = parse_scenario(raw)
+        world = build_world(scenario, seed=0)
+    except ScenarioError:
+        return
+    world.run(scenario.stop)
+    assert world.quiesced or world.end_tick == scenario.stop.max_ticks - 1
 
 
 def test_unknown_contract_in_transaction_rejected():
