@@ -3,18 +3,23 @@ block numbering.
 
 A chain holds named contracts.  Each contract carries plain variables
 (int | bool | bytes values), lock metadata, and a method table of host
-functions.  Of its open block the chain keeps what the run reads: how
-many invokes, locks, unlocks and sends it records, and the sends
-themselves.  A seal step closes the block under the index the engine
-gives it (the tick divided by the chain's `seal_every`) and hands its
-sends to the engine; the block index is what bridge messages later cite
-as their origin.  A chain enters its id in the world's set of open
-chains when it records into its block, so the engine seals only those,
-and an empty block is neither sealed nor counted.
+functions.  The chain's executor is not one of them: its address is
+reserved, and `invoke` hands a call to it straight to the executor's
+dispatch handler, while every other call runs a contract method.
 
-Every attempt is recorded through the chain's trace, which stamps it
-with the tick the engine is running; a chain keeps no clock, so a
-standalone chain's events carry whatever tick its trace holds.
+Of its open block the chain keeps what the run reads: how many invokes,
+locks, unlocks and sends it records, and the sends themselves.  A seal
+step closes the block under the index the engine gives it (the tick
+divided by the chain's `seal_every`) and hands its sends to the engine;
+the block index is what bridge messages later cite as their origin.  A
+chain enters its id in the world's set of open chains when it records
+into its block, so the engine seals only those, and an empty block is
+neither sealed nor counted.
+
+Every attempt, an invoke, lock or unlock, refused or not, is recorded
+in one place, through the chain's trace, which stamps it with the tick
+the engine is running; a chain keeps no clock, so a standalone chain's
+events carry whatever tick its trace holds.
 """
 
 from __future__ import annotations
@@ -123,13 +128,11 @@ class MethodContext:
     transaction.
     """
 
-    def __init__(self, chain: "Chain", target: Contract, caller: Address,
-                 origin: Address, params: list, depth: int, txid, actor):
+    def __init__(self, chain: "Chain", vars_: dict, caller: Address,
+                 params: list, depth: int, txid, actor):
         self.chain = chain
-        self.target = target
-        self.vars = target.vars
+        self.vars = vars_
         self.caller = caller
-        self.origin = origin
         self.params = params
         self._depth = depth
         self._txid = txid
@@ -139,7 +142,7 @@ class MethodContext:
         raise MethodFailure(reason)
 
     def call(self, target: Address, method: str, params: list) -> InvokeOutcome:
-        return self.chain.invoke(self.origin, target, method, params,
+        return self.chain.invoke(self.caller, target, method, params,
                                  depth=self._depth + 1, txid=self._txid,
                                  actor=self._actor)
 
@@ -155,7 +158,10 @@ class Chain:
         self.open_chains = set() if open_chains is None else open_chains
         self.pending = 0  # records in the open block
         self.sends: list = []  # the open block's bridge sends
+        # The executor's address and its dispatch handler, which the
+        # world sets; no contract may take that address.
         self.executor_addr: Optional[Address] = None
+        self.dispatch: Optional[Callable] = None
 
     # Construction -----------------------------------------------------
 
@@ -163,7 +169,8 @@ class Chain:
         if contract.addr.chain != self.id:
             raise ScenarioError("contract %s added to chain %s"
                                 % (contract.addr.canon(), self.id))
-        if contract.addr in self.contracts:
+        if contract.addr in self.contracts or \
+                contract.addr == self.executor_addr:
             raise ScenarioError("duplicate contract %s" % contract.addr.canon())
         self.contracts[contract.addr] = contract
         return contract
@@ -176,77 +183,54 @@ class Chain:
     def invoke(self, caller: Address, target: Address, method: str,
                params: list, depth: int = 0, txid=None,
                actor=None) -> InvokeOutcome:
-        """Run a method and record the attempt (success or not)."""
-        contract = self.contracts.get(target)
-        if contract is None:
-            return self._invoke_failed(caller, target, method, params, depth,
-                                       "UnknownTarget", txid, actor)
-        mdef = contract.methods.get(method)
-        if mdef is None and not self._is_executor(target):
-            return self._invoke_failed(caller, target, method, params, depth,
-                                       "UnknownMethod", txid, actor)
-        if contract.locked and caller != contract.locked_by:
-            return self._invoke_failed(caller, target, method, params, depth,
-                                       "LockedByOther", txid, actor)
-
-        if self._is_executor(target):
-            return self._invoke_executor(caller, target, method, params,
-                                         depth, txid, actor)
-
-        # Snapshot every contract so a failure rolls the whole invocation
-        # back and writes outside the declared scope are caught (values
-        # are immutable, so a dict copy is a full checkpoint).
-        pre = {a: dict(c.vars) for a, c in self.contracts.items()}
-        ctx = MethodContext(self, contract, caller, caller, params, depth,
-                            txid, actor)
+        """Run a method and record the attempt (success or not).  A call
+        to the executor's address goes to its dispatch handler."""
+        data = {"caller": caller, "target": target, "method": method,
+                "params": list(params), "depth": depth}
+        if actor is not None:
+            data["actor"] = actor
         try:
-            result = mdef.body(ctx)
+            if target == self.executor_addr:
+                result = self.dispatch(caller, method, params, depth)
+            else:
+                result, writes = self._run_method(caller, target, method,
+                                                  params, depth, txid, actor)
+                if writes:
+                    data["writes"] = writes
         except MethodFailure as f:
-            for a, vars_ in pre.items():
-                if self.contracts[a].vars != vars_:
-                    self.contracts[a].vars = vars_
-            return self._invoke_failed(caller, target, method, params, depth,
-                                       f.reason, txid, actor)
-        changed = [a for a in sorted(pre) if self.contracts[a].vars != pre[a]]
-        outside = [a for a in changed if a not in mdef.declared_scope]
-        if outside:
-            raise FatalScenarioError(
-                "method %s.%s wrote outside its declared scope: %s"
-                % (target.canon(), method,
-                   ",".join(a.canon() for a in outside)))
-        writes = tuple(a.canon() for a in changed)
-        outcome = InvokeOutcome(True, result)
-        self._record_invoke(caller, target, method, params, depth, outcome,
-                            writes, txid, actor)
-        return outcome
+            return self._record(INVOKE, data, txid, f.reason)
+        return self._record(INVOKE, data, txid, result=result)
 
     def lock(self, caller: Address, target: Address, txid=None) -> InvokeOutcome:
         contract = self.contracts.get(target)
         if contract is None:
-            return self._lock_event(caller, target, False, "UnknownTarget",
-                                    txid)
-        if contract.locked:
-            return self._lock_event(caller, target, False, "AlreadyLocked", txid)
-        if caller not in contract.trusted_executors:
-            return self._lock_event(caller, target, False, "NotTrusted", txid)
-        contract.locked_by = caller
-        contract.checkpoint = dict(contract.vars)
-        return self._lock_event(caller, target, True, None, txid)
+            reason = "UnknownTarget"
+        elif contract.locked:
+            reason = "AlreadyLocked"
+        elif caller not in contract.trusted_executors:
+            reason = "NotTrusted"
+        else:
+            reason = None
+            contract.locked_by = caller
+            contract.checkpoint = dict(contract.vars)
+        return self._record(LOCK, {"caller": caller, "target": target}, txid,
+                            reason)
 
     def unlock(self, caller: Address, target: Address, failure: bool,
                txid=None) -> InvokeOutcome:
         contract = self.contracts.get(target)
         if contract is None:
-            return self._unlock_event(caller, target, failure, False,
-                                      "UnknownTarget", txid)
-        if not contract.locked or caller != contract.locked_by:
-            return self._unlock_event(caller, target, failure, False,
-                                      "NotLockOwner", txid)
-        if failure:
-            contract.vars = dict(contract.checkpoint)
-        contract.locked_by = None
-        contract.checkpoint = None
-        return self._unlock_event(caller, target, failure, True, None, txid)
+            reason = "UnknownTarget"
+        elif not contract.locked or caller != contract.locked_by:
+            reason = "NotLockOwner"
+        else:
+            reason = None
+            if failure:
+                contract.vars = dict(contract.checkpoint)
+            contract.locked_by = None
+            contract.checkpoint = None
+        return self._record(UNLOCK, {"caller": caller, "target": target,
+                                     "failure": failure}, txid, reason)
 
     def record_send(self, send: tuple) -> None:
         """Add a bridge send to the open block."""
@@ -267,70 +251,52 @@ class Chain:
 
     # Internals ----------------------------------------------------------
 
-    def _is_executor(self, addr: Address) -> bool:
-        return addr == self.executor_addr
-
-    def _invoke_executor(self, caller, target, method, params, depth,
-                         txid, actor) -> InvokeOutcome:
-        handler = self.contracts[target].methods.get("__dispatch__")
-        if handler is None:
-            return self._invoke_failed(caller, target, method, params, depth,
-                                       "UnknownMethod", txid, actor)
+    def _run_method(self, caller, target, method, params, depth, txid,
+                    actor) -> tuple:
+        """Run a contract's method and return (result, writes).  A refusal
+        or a failed body raises MethodFailure, the latter after rolling
+        the whole chain back."""
+        contract = self.contracts.get(target)
+        if contract is None:
+            raise MethodFailure("UnknownTarget")
+        mdef = contract.methods.get(method)
+        if mdef is None:
+            raise MethodFailure("UnknownMethod")
+        if contract.locked and caller != contract.locked_by:
+            raise MethodFailure("LockedByOther")
+        # Snapshot every contract so a failure rolls the whole invocation
+        # back and writes outside the declared scope are caught (values
+        # are immutable, so a dict copy is a full checkpoint).
+        pre = {a: dict(c.vars) for a, c in self.contracts.items()}
         try:
-            result = handler(caller, method, params, depth)
-        except MethodFailure as f:
-            return self._invoke_failed(caller, target, method, params, depth,
-                                       f.reason, txid, actor)
-        outcome = InvokeOutcome(True, result)
-        self._record_invoke(caller, target, method, params, depth, outcome,
-                            (), txid, actor)
-        return outcome
+            result = mdef.body(MethodContext(self, contract.vars, caller,
+                                             params, depth, txid, actor))
+        except MethodFailure:
+            for a, vars_ in pre.items():
+                if self.contracts[a].vars != vars_:
+                    self.contracts[a].vars = vars_
+            raise
+        changed = [a for a in sorted(pre) if self.contracts[a].vars != pre[a]]
+        outside = [a for a in changed if a not in mdef.declared_scope]
+        if outside:
+            raise FatalScenarioError(
+                "method %s.%s wrote outside its declared scope: %s"
+                % (target.canon(), method,
+                   ",".join(a.canon() for a in outside)))
+        return result, [a.canon() for a in changed]
 
-    def _invoke_failed(self, caller, target, method, params, depth, reason,
-                       txid, actor) -> InvokeOutcome:
-        outcome = InvokeOutcome(False, None, reason)
-        self._record_invoke(caller, target, method, params, depth, outcome,
-                            (), txid, actor)
-        return outcome
-
-    def _record_invoke(self, caller, target, method, params, depth, outcome,
-                       writes, txid, actor) -> None:
-        self.pending += 1
-        self.open_chains.add(self.id)
-        data = {"caller": caller, "target": target, "method": method,
-                "params": list(params), "depth": depth, "ok": outcome.ok}
-        if outcome.ok and outcome.result is not None:
-            data["result"] = outcome.result
-        if not outcome.ok:
-            data["err"] = outcome.reason
-        if writes:
-            data["writes"] = list(writes)
-        if txid is not None:
-            data["txid"] = txid
-        if actor is not None:
-            data["actor"] = actor
-        self.trace.record(INVOKE, self.id, data)
-
-    def _lock_event(self, caller, target, ok, reason, txid) -> InvokeOutcome:
-        self.pending += 1
-        self.open_chains.add(self.id)
-        data = {"caller": caller, "target": target, "ok": ok}
-        if reason:
+    def _record(self, kind: str, data: dict, txid, reason=None,
+                result=None) -> InvokeOutcome:
+        """Count an attempt in the open block, record its event and
+        return its outcome: refused for `reason`, or done with `result`."""
+        data["ok"] = ok = reason is None
+        if not ok:
             data["err"] = reason
+        elif result is not None:
+            data["result"] = result
         if txid is not None:
             data["txid"] = txid
-        self.trace.record(LOCK, self.id, data)
-        return InvokeOutcome(ok, None, reason)
-
-    def _unlock_event(self, caller, target, failure, ok, reason,
-                      txid) -> InvokeOutcome:
         self.pending += 1
         self.open_chains.add(self.id)
-        data = {"caller": caller, "target": target, "failure": failure,
-                "ok": ok}
-        if reason:
-            data["err"] = reason
-        if txid is not None:
-            data["txid"] = txid
-        self.trace.record(UNLOCK, self.id, data)
-        return InvokeOutcome(ok, None, reason)
+        self.trace.record(kind, self.id, data)
+        return InvokeOutcome(ok, result, reason)

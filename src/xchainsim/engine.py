@@ -108,13 +108,9 @@ class World:
         chain = Chain(chain_id, self.trace, seal_every=seal_every,
                       open_chains=self.open_chains)
         self.chains[chain_id] = chain
-        exec_addr = Address(chain_id, executor_local)
-        executor = ExecutorContract(self, chain, exec_addr)
-        contract = Contract(addr=exec_addr, vars={}, owner=exec_addr,
-                            kind="executor",
-                            methods={"__dispatch__": executor.dispatch})
-        chain.add_contract(contract)
-        chain.executor_addr = exec_addr
+        executor = ExecutorContract(self, chain,
+                                    Address(chain_id, executor_local))
+        chain.executor_addr, chain.dispatch = executor.addr, executor.dispatch
         self.executors[chain_id] = executor
         return chain
 
@@ -389,13 +385,12 @@ class World:
     # Contract state -------------------------------------------------------
 
     def state(self) -> tuple:
-        """Every non-executor contract's state as one hashable value: its
+        """Every contract's state as one hashable value: its
         contract_entry() in address order.  restore() writes it back."""
         return tuple(
             contract_entry(c)
             for chain_id in sorted(self.chains)
-            for _, c in sorted(self.chains[chain_id].contracts.items())
-            if c.kind != "executor")
+            for _, c in sorted(self.chains[chain_id].contracts.items()))
 
     def restore(self, state) -> None:
         """Write back contract entries: a whole state() value, or any

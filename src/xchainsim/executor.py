@@ -1,10 +1,15 @@
 """Trusted per-chain transaction executors and the two-phase commit driver.
 
-Every chain hosts one executor contract.  On its own chain an executor
-accepts transaction proposals and runs the commit protocol as the
-proposer; for transactions proposed elsewhere it acts as a participant,
-serving checkpoint/lock, action execution, and unlock requests that
-arrive through the chain's bridge adapters.
+Every chain hosts one executor at a reserved address, outside its
+contract table: the chain hands each call to that address to the
+executor's `dispatch`.  On its own chain an executor accepts
+transaction proposals and runs the commit protocol as the proposer; for
+transactions proposed elsewhere it acts as a participant, serving
+checkpoint/lock, action execution, and unlock requests that arrive
+through the chain's bridge adapters.  Since the executor is no
+contract, it cannot be locked, and a transaction action or a
+`run_action` request that names it as its target is refused as an
+unknown contract.
 
 The proposer runs the protocol as one generator, in the paper's order:
 it locks each participating chain's scope in lock order, acquiring one

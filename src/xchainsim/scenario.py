@@ -6,11 +6,14 @@ adversary script of timed injections.  `load_scenario` parses and fully
 validates a file: one typed reader per field returns the field checked,
 or raises ValidationError at its location (``swap.bridges[1].max_delay``),
 which the CLI reports with exit code 2.  A field left out takes its
-default; a null is a wrong type like any other.  `build_world` turns the
-result plus a seed into a runnable World, and rejects an adversary entry
-that names a missing chain or bridge, or a bridge that is not
-adversarial.  Bundled scenarios under ``xchainsim/scenarios/`` can be
-referenced by bare name instead of a path.
+default; a null is a wrong type like any other.  A key that its
+mapping's reader does not read is rejected at its location too; which
+keys an injection or a payload has depends on its op or type.
+`build_world` turns the result plus a seed into a runnable World, and
+rejects an adversary entry that names a missing chain or bridge, or a
+bridge that is not adversarial.  Bundled scenarios under
+``xchainsim/scenarios/`` can be referenced by bare name instead of a
+path.
 """
 
 from __future__ import annotations
@@ -104,6 +107,14 @@ def _at(where: str, key) -> str:
 def _reject(where: str, key, value, rule: str):
     text = "missing" if value is _REQUIRED else "%r %s" % (value, rule)
     raise ValidationError("%s: %s" % (_at(where, key), text))
+
+
+def _known(raw: dict, where: str, keys) -> None:
+    """Reject a key of the mapping `raw` that its reader does not read."""
+    for key in raw:
+        if key not in keys:
+            raise ValidationError("%s: unknown key; the keys here are %s"
+                                  % (_at(where, key), ", ".join(keys)))
 
 
 def _mapping(raw: dict, key, where: str, default=_REQUIRED) -> tuple:
@@ -212,7 +223,10 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
     if not isinstance(raw, dict):
         raise ValidationError("%s: top level must be a mapping" % default_name)
     name = _name(raw, "name", default_name, default_name)
+    _known(raw, name, ("name", "lock_order", "stop", "chains", "bridges",
+                       "transactions", "adversary"))
     stop_at, stop = _mapping(raw, "stop", name, {})
+    _known(stop, stop_at, ("quiesce", "max_ticks"))
     scenario = Scenario(
         name=name,
         lock_order=_choice(raw, "lock_order", name, ("canonical", "declared"),
@@ -223,6 +237,7 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
 
     chain_ids = set()
     for where, chain_raw in _list(raw, "chains", name, _mapping):
+        _known(chain_raw, where, ("id", "executor", "seal_every", "contracts"))
         chain_id = _name(chain_raw, "id", where)
         if chain_id in chain_ids:
             _reject(where, "id", chain_id, "is declared twice")
@@ -237,6 +252,8 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
         raise ValidationError("%s: at least one chain is required" % name)
 
     for where, b_raw in _list(raw, "bridges", name, _mapping):
+        _known(b_raw, where, ("src", "dst", "max_delay", "reorder", "mode",
+                              "tag"))
         scenario.bridges.append(BridgeSpec(
             src=_choice(b_raw, "src", where, chain_ids),
             dst=_choice(b_raw, "dst", where, chain_ids),
@@ -246,11 +263,9 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
             tag=_int(b_raw, "tag", where, 0)))
 
     for where, t_raw in _list(raw, "transactions", name, _mapping):
-        actions = [{"id": _int(a_raw, "id", awhere, j),
-                    "chain": _choice(a_raw, "chain", awhere, chain_ids),
-                    "target": _name(a_raw, "target", awhere),
-                    "method": _name(a_raw, "method", awhere),
-                    "params": _values(a_raw, "params", awhere)}
+        _known(t_raw, where, ("txid", "proposer", "originator", "tick",
+                              "actions", "prec"))
+        actions = [_parse_action(a_raw, awhere, j, chain_ids)
                    for j, (awhere, a_raw)
                    in enumerate(_list(t_raw, "actions", where, _mapping))]
         scenario.transactions.append(TransactionSpec(
@@ -265,7 +280,18 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
     return scenario
 
 
+def _parse_action(raw: dict, where: str, default_id: int,
+                  chain_ids: set) -> dict:
+    _known(raw, where, ("id", "chain", "target", "method", "params"))
+    return {"id": _int(raw, "id", where, default_id),
+            "chain": _choice(raw, "chain", where, chain_ids),
+            "target": _name(raw, "target", where),
+            "method": _name(raw, "method", where),
+            "params": _values(raw, "params", where)}
+
+
 def _parse_contract(raw: dict, where: str) -> ContractSpec:
+    _known(raw, where, ("local", "kind", "owner", "init", "trusted"))
     kind = _choice(raw, "kind", where, library_kinds(), "token")
     init_at, init = _mapping(raw, "init", where, {})
     read = _int if kind == "token" else _value   # a balance is an int
@@ -312,16 +338,25 @@ def _parse_injection(raw: dict, where: str) -> Injection:
     op = _choice(raw, "op", where, CHAIN_OPS + BRIDGE_OPS)
     tick = _int(raw, "tick", where)
     if op in CHAIN_OPS:
+        _known(raw, where, ("tick", "op", "chain", "caller", "target") + {
+            "invoke": ("method", "params"), "lock": (),
+            "unlock": ("failure",)}[op])
         chain = _name(raw, "chain", where)
         injection = Injection(
             tick=tick, op=op, chain=chain,
             caller=Address(chain, _name(raw, "caller", where)),
-            target=Address(chain, _name(raw, "target", where)),
-            failure=_bool(raw, "failure", where, False))
+            target=Address(chain, _name(raw, "target", where)))
         if op == "invoke":
             injection.method = _name(raw, "method", where)
             injection.params = _values(raw, "params", where)
+        elif op == "unlock":
+            injection.failure = _bool(raw, "failure", where, False)
         return injection
+    # A drop or corrupt picks its message by id or by queue index.
+    pick = ("msgid",) if "msgid" in raw else ("index",)
+    _known(raw, where, ("tick", "op", "src", "dst", "tag") + {
+        "forge": ("fake_block", "dest", "payload"), "drop": pick,
+        "corrupt": pick + ("payload",)}[op])
     bridge = BridgeId(_name(raw, "src", where), _name(raw, "dst", where),
                       _int(raw, "tag", where, 0))
     injection = Injection(tick=tick, op=op, bridge=bridge)
@@ -340,6 +375,10 @@ def _parse_injection(raw: dict, where: str) -> Injection:
 
 def _parse_payload(where: str, raw: dict):
     ptype = _choice(raw, "type", where, ("ack", "anotify", "rcall"))
+    _known(raw, where, ("type",) + {
+        "ack": ("seq", "ok", "result"),
+        "anotify": ("chain", "dest", "origin_chain", "origin", "data", "seq"),
+        "rcall": ("chain", "target", "method", "params", "seq")}[ptype])
     if ptype == "ack":
         return Ack(seq=_int(raw, "seq", where, 0),
                    ok=_bool(raw, "ok", where, True),

@@ -139,10 +139,19 @@ WELL_FORMED = {
      "bad.transactions[0].actions[0].params: 5 must be a list"),
     ("actions", "[{chain: a, method: transfer}]",
      "bad.transactions[0].actions[0].target: missing"),
+    ("stop", "{max_tick: 5}", "bad.stop.max_tick: unknown key; the keys "
+     "here are quiesce, max_ticks"),
+    ("token_init", "{alice: 5}, intt: {alice: 5}",
+     "bad.chains[0].contracts[0].intt: unknown key; the keys here are "
+     "local, kind, owner, init, trusted"),
+    ("bridges", "[]\nbridge: [{src: a, dst: b}]", "bad.bridge: unknown key; "
+     "the keys here are name, lock_order, stop, chains, bridges, "
+     "transactions, adversary"),
 ], ids=["bridge-int", "action-int", "injection-int", "adversary-int",
         "stop-int", "max-ticks-str", "quiesce-quoted", "init-float",
         "init-list", "balance-str", "tick-negative", "delay-zero",
-        "unknown-chain", "params-int", "target-missing"])
+        "unknown-chain", "params-int", "target-missing", "stop-key",
+        "contract-key", "top-level-key"])
 def test_check_malformed_scenario_exits_2_at_its_location(
         field, text, message, tmp_path, capsys):
     path = tmp_path / "bad.yaml"
@@ -243,8 +252,18 @@ def test_sweep_budget_exceeded_names_seed_and_exits_3(capsys):
     ("{tick: 1, op: forge, src: a, dst: b, payload: {type: rcall, chain: b, "
      "target: token, method: m x}}",
      "bad-adversary.adversary[0].payload.method: 'm x' " + NAME_RULE),
+    ("{tick: 1, op: lock, chain: a, caller: eve, target: token, "
+     "failure: true}", "bad-adversary.adversary[0].failure: unknown key; "
+     "the keys here are tick, op, chain, caller, target"),
+    ("{tick: 1, op: drop, src: a, dst: b, msgid: 3, index: 0}",
+     "bad-adversary.adversary[0].index: unknown key; the keys here are "
+     "tick, op, src, dst, tag, msgid"),
+    ("{tick: 1, op: forge, src: a, dst: b, payload: {type: ack, method: m}}",
+     "bad-adversary.adversary[0].payload.method: unknown key; the keys "
+     "here are type, seq, ok, result"),
 ], ids=["unknown-bridge", "unknown-chain", "honest-bridge",
-        "invoke-method-space", "payload-method-space"])
+        "invoke-method-space", "payload-method-space", "lock-failure-key",
+        "msgid-and-index", "ack-method-key"])
 def test_check_bad_adversary_entry_exits_2(entry, message, tmp_path,
                                            capsys):
     path = tmp_path / "bad.yaml"
@@ -279,3 +298,23 @@ def test_unknown_adversary_op_is_rejected_when_parsed():
                        match=r"bad\.adversary\[0\]\.op: 'explode' must be "
                              r"one of corrupt, drop, forge, invoke, lock"):
         parse_scenario(raw, default_name="bad")
+
+
+@pytest.mark.parametrize("chain,transactions,message", [
+    ("{id: a, contracts: [{local: exec}]}", "[]", "duplicate contract a/exec"),
+    ("{id: a, executor: boss, contracts: [{local: boss}]}", "[]",
+     "duplicate contract a/boss"),
+    ("{id: a}", "[{txid: t, proposer: a, actions: [{chain: a, target: exec, "
+     "method: __dispatch__}]}]",
+     "t: action 0 references unknown contract a/exec"),
+], ids=["contract-at-executor", "contract-at-renamed-executor",
+        "action-on-executor"])
+def test_check_executor_address_is_no_contract(chain, transactions, message,
+                                                tmp_path, capsys):
+    path = tmp_path / "executor.yaml"
+    path.write_text("chains: [%s]\ntransactions: %s\n"
+                    % (chain, transactions))
+    assert main(["check", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message

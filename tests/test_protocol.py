@@ -1,10 +1,19 @@
 """Two-phase protocol behavior: the swap message narrative, abort paths,
 symmetric conflicts, executor authorization, and adversary resistance."""
 
+import dataclasses
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
 from xchainsim import (Address, CrossChainTransaction, IndexedAction,
-                       Injection, StopCondition, World, build_world,
-                       check_all_or_nothing, extract_metrics, load_scenario)
+                       Injection, MissingOutcomeError, ScenarioError,
+                       StopCondition, Verdict, World, build_world,
+                       check_all_or_nothing, check_secure_transfer,
+                       check_strict_serializability, extract_metrics,
+                       load_scenario)
 from xchainsim.adapter import PENDING
+from xchainsim.bridge import ADVERSARIAL, BridgeId, Rcall
 from xchainsim.executor import ABORTED, COMMITTED, LOCK_CONFLICT, OP_FAILED
 from xchainsim.trace import FUTURE, INVOKE, LOCK, OUTCOME, SEND, UNLOCK
 
@@ -347,3 +356,80 @@ def test_lock_scope_of_a_missing_contract_is_a_lock_conflict(two_chain_world):
                if e.kind == LOCK and not e.data["ok"]]
     assert [(e.data["target"], e.data["err"]) for e in refused] == [
         (Address("left", "nope"), "UnknownTarget")]
+
+
+def test_a_contract_cannot_take_the_executors_address(two_chain_world):
+    world = two_chain_world
+    with pytest.raises(ScenarioError, match="duplicate contract left/exec"):
+        world.add_contract("left", "exec", "counter")
+
+
+def test_adversary_lock_of_the_executor_is_an_unknown_target(
+        two_chain_world):
+    world = two_chain_world
+    eve, executor = Address("left", "eve"), Address("left", "exec")
+    world.add_injection(Injection(tick=1, op="lock", chain="left",
+                                  caller=eve, target=executor))
+    world.add_injection(Injection(tick=2, op="unlock", chain="left",
+                                  caller=eve, target=executor, failure=True))
+    trace = world.run(StopCondition(quiesce=True, max_ticks=10))
+    assert [(e.kind, e.data["target"], e.data["ok"], e.data["err"])
+            for e in trace.events if e.kind in (LOCK, UNLOCK)] == [
+        (LOCK, executor, False, "UnknownTarget"),
+        (UNLOCK, executor, False, "UnknownTarget")]
+
+
+@pytest.fixture(scope="module")
+def adversarial_swap():
+    swap = load_scenario("swap")
+    return dataclasses.replace(swap, bridges=[
+        dataclasses.replace(b, mode=ADVERSARIAL) for b in swap.bridges])
+
+
+# The executor's four methods, the library's, and two it has none of.
+FORGED_METHODS = ["propose", "lock_scope", "run_action", "unlock_scope",
+                  "transfer", "mint", "incr", "set", "notification", "noop",
+                  "fail", "__dispatch__", "nope"]
+
+
+@st.composite
+def forged_rcalls(draw):
+    """One rcall forged onto a bridge of the swap: to the executor, a
+    contract of the destination chain or a missing one, calling any
+    method with params taken from the swap (for an executor method: a
+    txid, an address and a method name first)."""
+    src, dst = draw(st.sampled_from([("fantom", "mumbai"),
+                                     ("mumbai", "fantom")]))
+    locals_ = st.sampled_from(["exec", "token", "side", "nope"])
+    params = [draw(st.sampled_from([b"swap1", b"nope"])),
+              ("%s/%s" % (dst, draw(locals_))).encode(),
+              draw(st.sampled_from(FORGED_METHODS)).encode()]
+    params += draw(st.lists(st.sampled_from(
+        [b"alice", b"bob", 5, 7, True, False]), max_size=3))
+    return Injection(
+        tick=draw(st.integers(0, 8)), op="forge", bridge=BridgeId(src, dst),
+        payload=Rcall(target=Address(dst, draw(locals_)),
+                      method=draw(st.sampled_from(FORGED_METHODS)),
+                      params=tuple(params[:draw(st.integers(0, 6))]),
+                      seq=draw(st.integers(0, 3))))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(injection=forged_rcalls())
+@example(injection=Injection(
+    tick=1, op="forge", bridge=BridgeId("fantom", "mumbai"),
+    payload=Rcall(target=Address("mumbai", "exec"), method="run_action",
+                  params=(b"swap1", b"mumbai/exec", b"__dispatch__"),
+                  seq=0)))
+def test_one_forged_rcall_never_stops_a_run_or_a_checker(adversarial_swap,
+                                                         injection):
+    world = build_world(adversarial_swap, seed=0)
+    world.add_injection(injection)
+    trace = world.run(adversarial_swap.stop)
+    txns = list(world.transactions.values())
+    assert isinstance(check_secure_transfer(trace), Verdict)
+    assert isinstance(check_strict_serializability(trace, txns), Verdict)
+    try:
+        assert isinstance(check_all_or_nothing(trace, txns), Verdict)
+    except MissingOutcomeError:
+        pass    # a forged ack can leave the swap without an outcome
