@@ -7,11 +7,11 @@ checkers for message authenticity, atomicity, and strict
 serializability.
 """
 
-from .adapter import Adapter, Future, UnknownFutureError
+from .adapter import Adapter, Future
 from .bridge import (Ack, Anotify, Bridge, BridgeId, BridgeMessage,
                      BridgePolicy, NotAdversarialBridge, Rcall)
-from .chain import (Address, Chain, Contract, FatalScenarioError,
-                    InvokeOutcome, MethodDef, MethodFailure, ScenarioError)
+from .chain import (Address, Chain, Contract, InvokeOutcome, MethodFailure,
+                    ScenarioError)
 from .engine import Injection, StopCondition, World
 from .executor import ExecutorContract, ProposerMachine
 from .scenario import (Scenario, ValidationError, build_world,

@@ -19,9 +19,7 @@ or move any future.
 
 An adapter keeps a future only while it is pending: the ack that
 resolves it drops it, so a late or duplicate ack for it finds no future
-and is logged like any unknown one.  A future names its issuer's
-address, which is how ``query`` still tells the adapter's own resolved
-futures from foreign ones.
+and is logged like any unknown one.
 """
 
 from __future__ import annotations
@@ -39,23 +37,14 @@ DELIVERED = "delivered"
 COMPLETED = "completed"
 
 
-class UnknownFutureError(Exception):
-    """Queried future was not issued by this adapter."""
-
-
 @dataclass
 class Future:
-    issuer: Address           # the issuing adapter's address
     seq: int
     kind: str                 # "anotify" | "rcall"
     state: str = PENDING
     ok: Optional[bool] = None
     result: object = None
     owner: object = None      # the machine awaiting it, called on resolution
-
-    @property
-    def terminal(self) -> bool:
-        return self.state != PENDING
 
 
 class Adapter:
@@ -91,13 +80,6 @@ class Adapter:
         payload = Rcall(target=target, method=method, params=tuple(params),
                         seq=future.seq)
         self.world.queue_send(self.out_bridge, self.addr, payload, self.peer)
-        return future
-
-    def query(self, future: Future) -> Future:
-        # This adapter's own address object: an equal address of another
-        # world's adapter does not pass.
-        if future.issuer is not self.addr:
-            raise UnknownFutureError(future.seq)
         return future
 
     # Receiving ----------------------------------------------------------
@@ -136,7 +118,7 @@ class Adapter:
                                 % (dest.canon(), self.peer.chain))
 
     def _new_future(self, kind: str) -> Future:
-        future = Future(self.addr, self.next_seq, kind)
+        future = Future(self.next_seq, kind)
         self.next_seq += 1
         self.futures[future.seq] = future
         self.world.pending_futures += 1

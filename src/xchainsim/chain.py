@@ -2,10 +2,16 @@
 block numbering.
 
 A chain holds named contracts.  Each contract carries plain variables
-(int | bool | bytes values), lock metadata, and a method table of host
-functions.  The chain's executor is not one of them: its address is
+(int | bool | bytes values), lock metadata, and a table of method
+bodies.  The chain's executor is not one of them: its address is
 reserved, and `invoke` hands a call to it straight to the executor's
 dispatch handler, while every other call runs a contract method.
+
+A call touches its target and nothing else: a method body sees only the
+target's vars, its caller and its params (MethodContext), and reaches no
+other contract.  So `invoke` copies the target's vars alone before the
+body runs, restores that copy if the body fails, and records
+`writes=[target]` when the vars changed, or no `writes` at all.
 
 Of its open block the chain keeps what the run reads: how many invokes,
 locks, unlocks and sends it records, and the sends themselves.  A seal
@@ -35,10 +41,6 @@ Value = object  # int | bool | bytes
 
 class ScenarioError(Exception):
     """Configuration mistake: bad references, malformed scenario input."""
-
-
-class FatalScenarioError(Exception):
-    """Runtime detection of a protocol or scenario bug; aborts the run."""
 
 
 class MethodFailure(Exception):
@@ -87,24 +89,15 @@ class Address(tuple):
 
 
 @dataclass
-class MethodDef:
-    """A contract method: a deterministic host function plus its declared
-    write reach (every contract the body may modify, itself included)."""
-    name: str
-    body: Callable  # (MethodContext) -> Value
-    declared_scope: frozenset  # of Address
-
-
-@dataclass
 class Contract:
     addr: Address
     vars: dict
     owner: Address
-    kind: str = "custom"
+    kind: str
     locked_by: Optional[Address] = None
     checkpoint: Optional[dict] = None
     trusted_executors: set = field(default_factory=set)
-    methods: dict = field(default_factory=dict)
+    methods: dict = field(default_factory=dict)  # name -> body
 
     @property
     def locked(self) -> bool:
@@ -119,32 +112,16 @@ class InvokeOutcome:
 
 
 class MethodContext:
-    """Execution context handed to method bodies.
+    """What a method body sees: the live vars of the target contract, the
+    external caller and the params.  A body changes the vars in place or
+    raises MethodFailure, after which `Chain.invoke` restores them."""
 
-    `vars` is the live variable dict of the target contract; mutations
-    are validated against the method's declared scope and rolled back on
-    failure.  `call` invokes another contract's method, relaying the
-    original external caller, as a nested invocation of the same chain
-    transaction.
-    """
+    __slots__ = ("vars", "caller", "params")
 
-    def __init__(self, chain: "Chain", vars_: dict, caller: Address,
-                 params: list, depth: int, txid, actor):
-        self.chain = chain
+    def __init__(self, vars_: dict, caller: Address, params: list):
         self.vars = vars_
         self.caller = caller
         self.params = params
-        self._depth = depth
-        self._txid = txid
-        self._actor = actor
-
-    def fail(self, reason: str):
-        raise MethodFailure(reason)
-
-    def call(self, target: Address, method: str, params: list) -> InvokeOutcome:
-        return self.chain.invoke(self.caller, target, method, params,
-                                 depth=self._depth + 1, txid=self._txid,
-                                 actor=self._actor)
 
 
 class Chain:
@@ -193,10 +170,10 @@ class Chain:
             if target == self.executor_addr:
                 result = self.dispatch(caller, method, params, depth)
             else:
-                result, writes = self._run_method(caller, target, method,
-                                                  params, depth, txid, actor)
-                if writes:
-                    data["writes"] = writes
+                result, wrote = self._run_method(caller, target, method,
+                                                 params)
+                if wrote:
+                    data["writes"] = [target]
         except MethodFailure as f:
             return self._record(INVOKE, data, txid, f.reason)
         return self._record(INVOKE, data, txid, result=result)
@@ -251,39 +228,26 @@ class Chain:
 
     # Internals ----------------------------------------------------------
 
-    def _run_method(self, caller, target, method, params, depth, txid,
-                    actor) -> tuple:
-        """Run a contract's method and return (result, writes).  A refusal
-        or a failed body raises MethodFailure, the latter after rolling
-        the whole chain back."""
+    def _run_method(self, caller, target, method, params) -> tuple:
+        """Run a contract's method and return (result, whether the
+        target's vars changed).  A refusal or a failed body raises
+        MethodFailure, the latter after restoring the target's vars."""
         contract = self.contracts.get(target)
         if contract is None:
             raise MethodFailure("UnknownTarget")
-        mdef = contract.methods.get(method)
-        if mdef is None:
+        body = contract.methods.get(method)
+        if body is None:
             raise MethodFailure("UnknownMethod")
         if contract.locked and caller != contract.locked_by:
             raise MethodFailure("LockedByOther")
-        # Snapshot every contract so a failure rolls the whole invocation
-        # back and writes outside the declared scope are caught (values
-        # are immutable, so a dict copy is a full checkpoint).
-        pre = {a: dict(c.vars) for a, c in self.contracts.items()}
+        # Values are immutable, so a dict copy is a full checkpoint.
+        pre = dict(contract.vars)
         try:
-            result = mdef.body(MethodContext(self, contract.vars, caller,
-                                             params, depth, txid, actor))
+            result = body(MethodContext(contract.vars, caller, params))
         except MethodFailure:
-            for a, vars_ in pre.items():
-                if self.contracts[a].vars != vars_:
-                    self.contracts[a].vars = vars_
+            contract.vars = pre
             raise
-        changed = [a for a in sorted(pre) if self.contracts[a].vars != pre[a]]
-        outside = [a for a in changed if a not in mdef.declared_scope]
-        if outside:
-            raise FatalScenarioError(
-                "method %s.%s wrote outside its declared scope: %s"
-                % (target.canon(), method,
-                   ",".join(a.canon() for a in outside)))
-        return result, [a.canon() for a in changed]
+        return result, contract.vars != pre
 
     def _record(self, kind: str, data: dict, txid, reason=None,
                 result=None) -> InvokeOutcome:

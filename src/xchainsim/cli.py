@@ -5,8 +5,8 @@
     xchainsim metrics --scenario swap
     xchainsim sweep   --scenario swap --seeds 100
 
-Exit codes: 0 success, 1 property violation, 2 configuration error,
-3 serializability budget exceeded.
+Exit codes: 0 success, 1 property violation, 2 configuration error
+(ScenarioError), 3 serializability budget exceeded (BudgetExceededError).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import argparse
 import logging
 import sys
 
-from .chain import FatalScenarioError, ScenarioError
+from .chain import ScenarioError
 from .scenario import build_world, load_scenario
 from .verify import (BudgetExceededError, MissingOutcomeError, Verdict,
                      Violation, check_all_or_nothing, check_secure_transfer,
@@ -163,11 +163,11 @@ def cmd_sweep(args) -> int:
     counts_stable = True
     for seed in range(args.seed, args.seed + args.seeds):
         world = build_world(scenario, seed=seed, lock_order=args.lock_order)
+        trace = world.run(scenario.stop)
         try:
-            trace = world.run(scenario.stop)
             verdicts = _run_checks(args, world, trace)
-        except (FatalScenarioError, BudgetExceededError) as err:
-            raise type(err)("at seed %d: %s" % (seed, err)) from err
+        except BudgetExceededError as err:
+            raise BudgetExceededError("at seed %d: %s" % (seed, err)) from err
         total += 1
         bad = [name for name, verdict in verdicts if not verdict.passed]
         if bad:
@@ -204,9 +204,6 @@ def main(argv=None) -> int:
         return handler(args)
     except ScenarioError as err:
         print("error: %s" % err, file=sys.stderr)
-        return EXIT_CONFIG
-    except FatalScenarioError as err:
-        print("fatal scenario error: %s" % err, file=sys.stderr)
         return EXIT_CONFIG
     except BudgetExceededError as err:
         print("budget exceeded: %s" % err, file=sys.stderr)

@@ -245,58 +245,54 @@ class World:
         last_scheduled = max([t for t, _ in self.tx_schedule] +
                              [i.tick for i in self.injections] + [0])
 
-        try:
-            for tick in range(stop.max_ticks):
-                self.trace.tick = tick
+        for tick in range(stop.max_ticks):
+            self.trace.tick = tick
 
-                for injection in injections_by_tick.get(tick, ()):
-                    self._apply_injection(injection)
+            for injection in injections_by_tick.get(tick, ()):
+                self._apply_injection(injection)
+            self._drain_kicks()
+
+            # Bridges deliver in BridgeId order; an empty queue draws
+            # nothing, so skipping it leaves the RNG stream unchanged.
+            for bridge_id in sorted(self.active_bridges):
+                bridge = self.bridges[bridge_id]
+                for message in bridge.take_due(tick, self.rng):
+                    adapter = self.adapters.get(message.dest)
+                    if adapter is None:
+                        self.trace.record(ANOMALY, bridge_id.dst, {
+                            "what": "NoSuchAdapter",
+                            "msgid": message.msg_id})
+                        continue
+                    adapter.on_recv(message)
+                if not bridge.queue:
+                    self.active_bridges.discard(bridge_id)
+
+            pending_resolutions = self.resolutions
+            self.resolutions = []
+            for future in pending_resolutions:
+                if future.owner is not None:
+                    future.owner.on_future(future)
+
+            for txid in schedule_by_tick.get(tick, ()):
+                txn = self.transactions[txid]
+                chain = self.chains[txn.proposer_chain]
+                chain.invoke(txn.originator, chain.executor_addr,
+                             "propose", [txid.encode()], txid=txid)
                 self._drain_kicks()
 
-                # Bridges deliver in BridgeId order; an empty queue draws
-                # nothing, so skipping it leaves the RNG stream unchanged.
-                for bridge_id in sorted(self.active_bridges):
-                    bridge = self.bridges[bridge_id]
-                    for message in bridge.take_due(tick, self.rng):
-                        adapter = self.adapters.get(message.dest)
-                        if adapter is None:
-                            self.trace.record(ANOMALY, bridge_id.dst, {
-                                "what": "NoSuchAdapter",
-                                "msgid": message.msg_id})
-                            continue
-                        adapter.on_recv(message)
-                    if not bridge.queue:
-                        self.active_bridges.discard(bridge_id)
+            for chain_id in sorted(self.open_chains):
+                chain = self.chains[chain_id]
+                if tick % chain.seal_every == 0:
+                    self._seal_chain(chain, tick)
 
-                pending_resolutions = self.resolutions
-                self.resolutions = []
-                for future in pending_resolutions:
-                    if future.owner is not None:
-                        future.owner.on_future(future)
+            self.end_tick = tick
+            if stop.quiesce and tick >= last_scheduled and self.quiescent():
+                self.quiesced = True
+                break
 
-                for txid in schedule_by_tick.get(tick, ()):
-                    txn = self.transactions[txid]
-                    chain = self.chains[txn.proposer_chain]
-                    chain.invoke(txn.originator, chain.executor_addr,
-                                 "propose", [txid.encode()], txid=txid)
-                    self._drain_kicks()
-
-                for chain_id in sorted(self.open_chains):
-                    chain = self.chains[chain_id]
-                    if tick % chain.seal_every == 0:
-                        self._seal_chain(chain, tick)
-
-                self.end_tick = tick
-                if stop.quiesce and tick >= last_scheduled and \
-                        self.quiescent():
-                    self.quiesced = True
-                    break
-        finally:
-            # On a fatal mid-run error the partial trace is still closed
-            # out so it can be inspected.
-            self.trace.final = self.snapshot()
-            self.trace.quiesced = self.quiesced
-            self.trace.end_tick = self.end_tick
+        self.trace.final = self.snapshot()
+        self.trace.quiesced = self.quiesced
+        self.trace.end_tick = self.end_tick
         return self.trace
 
     def _drain_kicks(self) -> None:

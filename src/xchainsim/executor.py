@@ -140,13 +140,11 @@ class ExecutorContract:
         contract = self.chain.contract(target)
         if contract is None:
             raise MethodFailure("UnknownTarget")
-        mdef = contract.methods.get(method)
-        if mdef is None:
+        if method not in contract.methods:
             raise MethodFailure("UnknownMethod")
         # Honest bridges never get here unlocked; a forged ack can let
         # the proposer unlock before a late run_action arrives.
-        needed = set(mdef.declared_scope) | {target}
-        if not needed <= set(self.participant_locks.get(txid, ())):
+        if target not in self.participant_locks.get(txid, ()):
             raise MethodFailure("ScopeNotLocked")
         outcome = self.chain.invoke(self.addr, target, method, args,
                                     depth=depth + 1, txid=txid)
@@ -241,7 +239,7 @@ class ProposerMachine:
         for chain_id in order:
             contacted.append(chain_id)
             m._call(chain_id, "lock_scope", [txid] + [
-                encode_address(a) for a in scope_union(txn, world, chain_id)])
+                encode_address(a) for a in scope_union(txn, chain_id)])
             if not (yield):
                 m.reason = LOCK_CONFLICT
                 break

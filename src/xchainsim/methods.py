@@ -1,14 +1,15 @@
 """Built-in contract method library.
 
 Scenarios pick a contract `kind`; the kind decides which methods the
-contract exposes.  All bodies are pure functions of (state, params,
-caller) and keep their writes inside the owning contract, which makes
-oracle replay of recorded invocations exact.
+contract exposes.  A body sees only its own contract's vars (see
+`MethodContext`), so a call writes its target or nothing, and every body
+is a pure function of (vars, params, caller).  That makes oracle replay
+of recorded invocations exact.
 """
 
 from __future__ import annotations
 
-from .chain import Address, Contract, MethodDef, MethodFailure
+from .chain import Address, Contract, MethodFailure
 
 
 def _as_name(value) -> str:
@@ -112,13 +113,9 @@ def build_contract(addr: Address, kind: str, owner: Address,
                    init_vars: dict, trusted: set) -> Contract:
     if kind not in _LIBRARY:
         raise KeyError(kind)
-    scope = frozenset([addr])
-    methods = {name: MethodDef(name, body, scope)
-               for name, body in _LIBRARY[kind].items()}
-    contract = Contract(addr=addr, vars=dict(init_vars), owner=owner,
-                        kind=kind, trusted_executors=set(trusted),
-                        methods=methods)
-    return contract
+    return Contract(addr=addr, vars=dict(init_vars), owner=owner, kind=kind,
+                    trusted_executors=set(trusted),
+                    methods=dict(_LIBRARY[kind]))
 
 
 def token_init(balances: dict) -> dict:

@@ -226,10 +226,5 @@ class Trace:
                   sorted(self.final, key=lambda s: (s.chain, s.local))]
         return "\n".join(lines) + "\n"
 
-    # Snapshot helpers used by the checkers.
-
-    def initial_vars(self) -> dict:
-        return {(s.chain, s.local): dict(s.vars) for s in self.initial}
-
     def final_vars(self) -> dict:
         return {(s.chain, s.local): dict(s.vars) for s in self.final}

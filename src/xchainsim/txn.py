@@ -98,26 +98,17 @@ def layer_partition(txn: CrossChainTransaction) -> list:
     return layers
 
 
-def scope_union(txn: CrossChainTransaction, world, chain_id: str) -> list:
-    """All contracts a transaction may touch on one chain, in canonical
-    address order: the action targets plus their methods' declared reach."""
-    out = set()
-    for action in txn.actions:
-        if action.chain != chain_id:
-            continue
-        out.add(action.target)
-        contract = world.chains[chain_id].contract(action.target)
-        if contract is not None:
-            mdef = contract.methods.get(action.method)
-            if mdef is not None:
-                out |= set(mdef.declared_scope)
-    return sorted(out)
+def scope_union(txn: CrossChainTransaction, chain_id: str) -> list:
+    """All contracts a transaction touches on one chain, in canonical
+    address order: its action targets there, since a call writes its
+    target and nothing else."""
+    return sorted({a.target for a in txn.actions if a.chain == chain_id})
 
 
 def validate_transaction(txn: CrossChainTransaction, world) -> None:
     """Scenario-level validation: references resolve and same-layer
-    actions on one chain have disjoint scopes (which is what makes
-    within-layer execution order irrelevant)."""
+    actions have distinct targets (which is what makes within-layer
+    execution order irrelevant)."""
     for action in txn.actions:
         chain = world.chains.get(action.chain)
         if chain is None:
@@ -134,19 +125,13 @@ def validate_transaction(txn: CrossChainTransaction, world) -> None:
                                            action.target.canon(),
                                            action.method))
     for layer in txn.layers:
-        per_chain: dict[str, set] = {}
+        seen = set()
         for action in layer:
-            contract = world.chains[action.chain].contract(action.target)
-            scope = set(contract.methods[action.method].declared_scope)
-            scope.add(action.target)
-            seen = per_chain.setdefault(action.chain, set())
-            overlap = seen & scope
-            if overlap:
+            if action.target in seen:
                 raise ScenarioError(
                     "%s: same-layer actions on %s share scope %s"
-                    % (txn.txid, action.chain,
-                       ",".join(a.canon() for a in sorted(overlap))))
-            seen |= scope
+                    % (txn.txid, action.chain, action.target.canon()))
+            seen.add(action.target)
 
 
 @dataclass
@@ -164,10 +149,8 @@ def ideal_execute(txn: CrossChainTransaction, world) -> IdealReport:
     contracts roll back, leaving `world` as it was.  A caller that needs
     `world` unchanged either way saves `world.state()` and restores it.
     """
-    scoped = {}
-    for chain_id in txn.chains():
-        for addr in scope_union(txn, world, chain_id):
-            scoped[addr] = world.chains[chain_id].contract(addr)
+    scoped = {a.target: world.chains[a.chain].contract(a.target)
+              for a in txn.actions}
     checkpoint = {addr: dict(c.vars) for addr, c in scoped.items()}
 
     for layer in txn.layers:

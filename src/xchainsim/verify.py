@@ -18,16 +18,16 @@ event through the chain's own lock, unlock and invoke.
 A search step costs one contract, not the whole world.  A state is one
 interned number per contract_entry(), in World.state() order.  A step's
 result depends only on the event and its target's entry: lock and
-unlock read and write only their target, library method bodies are pure
-functions of the target's vars, the params and the caller, and
-Chain.invoke refuses a write outside the target's own contract.  So the
-search keeps one table from (event, target entry number) to the
-target's entry number after the step, or None when the step is refused
-or fails.  A step seen before is a dict lookup and needs no world.  Only
-before a step not seen yet does World.restore() bring the replay world
-to the frame's state, writing back only the entries that differ from
-the state the search remembers the world is in; after the replay only
-the target's entry is rebuilt.  The memo key of a search state is the
+unlock read and write only their target, and a call touches its target
+and nothing else, since a method body sees only the target's vars, the
+params and the caller, and is a pure function of them.  So the search
+keeps one table from (event, target entry number) to the target's entry
+number after the step, or None when the step is refused or fails.  A
+step seen before is a dict lookup and needs no world.  Only before a
+step not seen yet does World.restore() bring the replay world to the
+frame's state, writing back only the entries that differ from the state
+the search remembers the world is in; after the replay only the
+target's entry is rebuilt.  The memo key of a search state is the
 tuple of entry numbers, the placed mask and the open transaction.  The
 search keeps an explicit stack with one frame per placed event, so a
 trace of any depth is checked without recursion.
@@ -48,11 +48,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .chain import Address, ScenarioError
+from .chain import Address, Chain, ScenarioError
 from .engine import World, contract_entry
 from .methods import build_contract
 from .trace import (INVOKE, LOCK, OUTCOME, RECV, SEND, UNLOCK, Trace, canon)
-from .txn import ideal_execute, scope_union
+from .txn import ideal_execute
 
 SAFETY = "secure-transfer-safety"
 LIVENESS = "secure-transfer-liveness"
@@ -155,15 +155,18 @@ def check_secure_transfer(trace: Trace) -> Verdict:
 
 
 def build_replay_world(trace: Trace, extra_chains=()) -> World:
-    """Rebuild a runnable world from the trace's initial snapshot.
+    """Rebuild the trace's initial contracts in a world of bare chains.
 
-    Contracts must come from the built-in method library; custom host
-    methods cannot be reconstructed from a serialized trace.
+    Replay calls only lock, unlock and contract methods, so its chains
+    have no executor, and a contract may hold any name, the one the run's
+    executor had included.  Contracts must come from the built-in method
+    library; other method bodies cannot be rebuilt from a trace.
     """
     world = World(seed=0, scenario_name=trace.scenario + ":replay")
     chains = {s.chain for s in trace.initial} | set(extra_chains)
     for chain_id in sorted(chains):
-        world.add_chain(chain_id)
+        world.chains[chain_id] = Chain(chain_id, world.trace,
+                                       open_chains=world.open_chains)
     for snap in trace.initial:
         try:
             contract = build_contract(
@@ -218,24 +221,18 @@ def check_all_or_nothing(trace: Trace, transactions: list) -> Verdict:
                 "%s (%s)" % (txn.txid, report.failed_action,
                              report.failure_reason)))
 
-    scoped = set()
-    for txn in transactions:
-        for chain_id in txn.chains():
-            for addr in scope_union(txn, world, chain_id):
-                scoped.add((chain_id, addr.local))
-
+    # A transaction's scope is its action targets.  The final vars are
+    # keyed by (chain, local) tuples, which an Address equals.
     final = trace.final_vars()
-    for chain_id, local in sorted(scoped):
-        expected = world.chains[chain_id].contract(
-            Address(chain_id, local)).vars
-        observed = final.get((chain_id, local))
+    for addr in sorted({a.target for t in transactions for a in t.actions}):
+        expected = world.chains[addr.chain].contract(addr).vars
+        observed = final.get(addr)
         if observed != expected:
             outcome_ids = [i for i, _ in outcomes.values()]
             violations.append(Violation(
                 ALL_OR_NOTHING, sorted(outcome_ids),
-                "scoped contract %s/%s ended at %s, reference says %s"
-                % (chain_id, local,
-                   canon(sorted((observed or {}).items())),
+                "scoped contract %s ended at %s, reference says %s"
+                % (addr.canon(), canon(sorted((observed or {}).items())),
                    canon(sorted(expected.items())))))
     return Verdict.from_violations(violations)
 

@@ -4,7 +4,7 @@ dispatch of incoming traffic."""
 import pytest
 
 from xchainsim import Address, ScenarioError, StopCondition, World
-from xchainsim.adapter import COMPLETED, DELIVERED, PENDING, UnknownFutureError
+from xchainsim.adapter import COMPLETED, DELIVERED, PENDING
 from xchainsim.trace import ANOMALY, FUTURE, SEND
 
 
@@ -58,9 +58,10 @@ def test_anotify_two_messages_future_delivered(notify_world):
     adapter = world.adapter_between("c", "d")
     future = adapter.anotify(Address("c", "caller"), b"ping",
                              Address("d", "inbox"))
-    assert adapter.query(future).state == PENDING
+    assert adapter.futures == {future.seq: future}
+    assert future.state == PENDING
     trace = run_quiet(world)
-    assert adapter.query(future).state == DELIVERED
+    assert adapter.futures == {} and future.state == DELIVERED
     assert len(sends(trace)) == 2
 
 
@@ -140,15 +141,6 @@ def test_wrong_chain_rejected(notify_world):
                       "transfer", [])
 
 
-def test_query_foreign_future_rejected(notify_world):
-    world = notify_world
-    a1 = world.adapter_between("c", "d")
-    a2 = world.adapter_between("d", "c")
-    future = a1.anotify(Address("c", "caller"), b"x", Address("d", "inbox"))
-    with pytest.raises(UnknownFutureError):
-        a2.query(future)
-
-
 def test_unknown_ack_seq_is_anomaly_and_ignored(notify_world):
     world = notify_world
     from xchainsim.bridge import Ack, BridgeMessage
@@ -171,7 +163,7 @@ def test_resolved_future_is_dropped_and_still_answered(notify_world):
     assert adapter.futures == {future.seq: future}
     run_quiet(world)
     assert adapter.futures == {} and world.pending_futures == 0
-    assert adapter.query(future).state == DELIVERED
+    assert future.state == DELIVERED
     # a duplicate ack for it is an unknown sequence number, as before
     late = BridgeMessage(999, Ack(seq=future.seq, ok=False), adapter.addr, 0)
     adapter.on_recv(late)

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from xchainsim import Address, FatalScenarioError, MethodDef, Trace, World
-from xchainsim.chain import Chain, Contract
+from xchainsim import Address, MethodFailure, Trace, World
+from xchainsim.chain import Chain
 from xchainsim.methods import build_contract
-from xchainsim.trace import SEAL
+from xchainsim.trace import INVOKE, SEAL
 
 
 ALICE = Address("one", "alice")
@@ -146,70 +146,48 @@ def test_seal_block_indices_and_counts(two_chain_world):
         {"block": 0, "count": 3}, {"block": 1, "count": 3}]
 
 
-def test_scope_violation_is_fatal(world):
-    chain = chain_of(world)
-    other = Contract(addr=Address("one", "other"), vars={"x": 1},
-                     owner=ALICE, kind="custom")
-    other.methods["poke"] = MethodDef("poke", lambda ctx: True,
-                                      frozenset([other.addr]))
-    chain.add_contract(other)
+def last_invoke(world):
+    return [e for e in world.trace.events if e.kind == INVOKE][-1]
 
-    def sneaky(ctx):
-        ctx.chain.contract(other.addr).vars["x"] = 99
-        return True
+
+def test_setting_a_counter_to_its_value_lists_no_writes(world):
+    counter = Address("one", "counter")
+    world.add_contract("one", "counter", "counter", init={"count": 3})
+    chain = chain_of(world)
+    outcome = chain.invoke(ALICE, counter, "set", [3])
+    assert outcome.ok and outcome.result == 3
+    event = last_invoke(world)
+    assert event.data["ok"] and "writes" not in event.data
+    assert chain.contract(counter).vars == {"count": 3}
+
+
+def test_transfer_writes_exactly_its_target(world):
+    chain = chain_of(world)
+    assert chain.invoke(ALICE, TOKEN, "transfer", [b"alice", b"bob", 2]).ok
+    event = last_invoke(world)
+    assert event.data["writes"] == [TOKEN]
+    assert event.render().endswith(" writes=[one/token]")
+
+
+def test_failed_body_restores_its_target_and_records_no_writes(world):
+    chain = chain_of(world)
+
+    def spend_then_fail(ctx):
+        ctx.vars["bal:alice"] = 0
+        ctx.vars["bal:mallory"] = 10
+        raise MethodFailure("Changed")
 
     token = chain.contract(TOKEN)
-    token.methods["sneaky"] = MethodDef("sneaky", sneaky, frozenset([TOKEN]))
-    with pytest.raises(FatalScenarioError):
-        chain.invoke(ALICE, TOKEN, "sneaky", [])
-
-
-def test_nested_call_relays_original_caller(world):
-    chain = chain_of(world)
-    proxy_addr = Address("one", "proxy")
-    token = chain.contract(TOKEN)
-
-    def relay(ctx):
-        inner = ctx.call(TOKEN, "transfer", ctx.params)
-        if not inner.ok:
-            ctx.fail(inner.reason)
-        return inner.result
-
-    proxy = Contract(addr=proxy_addr, vars={}, owner=ALICE, kind="custom")
-    proxy.methods["relay"] = MethodDef("relay", relay,
-                                       frozenset([proxy_addr, TOKEN]))
-    chain.add_contract(proxy)
-
-    executor = chain.executor_addr
-    chain.lock(executor, TOKEN)
-    # eve's call reaches the token through the proxy, but the guard sees
-    # eve (the original external caller), not the proxy
-    outcome = chain.invoke(EVE, proxy_addr, "relay", [b"alice", b"bob", 1])
-    assert not outcome.ok and outcome.reason == "LockedByOther"
-    assert chain.invoke(executor, proxy_addr, "relay",
-                        [b"alice", b"bob", 1]).ok
-
-
-def test_nested_failure_rolls_back_whole_invocation(world):
-    chain = chain_of(world)
-    combo_addr = Address("one", "combo")
-
-    def double_spend(ctx):
-        first = ctx.call(TOKEN, "transfer", [b"alice", b"bob", 6])
-        assert first.ok
-        second = ctx.call(TOKEN, "transfer", [b"alice", b"bob", 6])
-        if not second.ok:
-            ctx.fail(second.reason)
-        return True
-
-    combo = Contract(addr=combo_addr, vars={}, owner=ALICE, kind="custom")
-    combo.methods["both"] = MethodDef("both", double_spend,
-                                      frozenset([combo_addr, TOKEN]))
-    chain.add_contract(combo)
-    before = dict(chain.contract(TOKEN).vars)
-    outcome = chain.invoke(ALICE, combo_addr, "both", [])
-    assert not outcome.ok
-    assert chain.contract(TOKEN).vars == before
+    token.methods["spend"] = spend_then_fail
+    before = dict(token.vars)
+    outcome = chain.invoke(ALICE, TOKEN, "spend", [])
+    assert not outcome.ok and outcome.reason == "Changed"
+    assert token.vars == before
+    event = last_invoke(world)
+    assert event.data["err"] == "Changed" and "writes" not in event.data
+    # the library is untouched: another token has no such method
+    world.add_contract("one", "other", "token")
+    assert "spend" not in chain.contract(Address("one", "other")).methods
 
 
 # ---------------------------------------------------------------------------

