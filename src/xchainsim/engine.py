@@ -172,8 +172,10 @@ class World:
 
     def add_injection(self, injection: Injection) -> None:
         """Schedule an adversary action.  Its chain or bridge must exist,
-        and a bridge op needs an adversarial bridge; its target contract
-        need not exist, since a refused attempt is still an attempt."""
+        a bridge op needs an adversarial bridge, and a forge with no
+        `dest` needs the adapter pair that picks its default dest; its
+        target contract need not exist, since a refused attempt is still
+        an attempt."""
         where = "adversary %s at tick %d" % (injection.op, injection.tick)
         if injection.op in CHAIN_OPS:
             if injection.chain not in self.chains:
@@ -187,6 +189,14 @@ class World:
             if bridge.policy.mode != ADVERSARIAL:
                 raise ScenarioError("%s: bridge %s is not adversarial"
                                     % (where, injection.bridge.canon()))
+            if injection.op == "forge" and injection.dest is None:
+                try:   # the lookup that picks its dest when applied
+                    self.adapter_between(injection.bridge.dst,
+                                         injection.bridge.src,
+                                         injection.bridge.tag)
+                except ScenarioError as err:
+                    raise ScenarioError("%s: %s, so the forge needs a dest"
+                                        % (where, err)) from None
         else:
             raise ScenarioError("unknown injection op %r" % injection.op)
         self.injections.append(injection)
@@ -350,7 +360,8 @@ class World:
             dest = injection.dest
             if dest is None:
                 dest = self.adapter_between(injection.bridge.dst,
-                                            injection.bridge.src).addr
+                                            injection.bridge.src,
+                                            injection.bridge.tag).addr
             message = BridgeMessage(self.next_msg_id(), injection.payload,
                                     dest, injection.fake_block)
             bridge.forge(message, self.trace.tick, self.rng)

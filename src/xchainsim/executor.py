@@ -79,6 +79,10 @@ class ExecutorContract:
         self.trusted_adapters: set = set()
         self.active: Optional[ProposerMachine] = None
         self.participant_locks: dict[str, list] = {}
+        # Txids accepted by `_propose` and served by `_lock_scope`: each
+        # is accepted or served once, so no message can replay it.
+        self.proposed: set = set()
+        self.served: set = set()
 
     # Dispatch from chain.invoke ----------------------------------------
 
@@ -104,8 +108,13 @@ class ExecutorContract:
         txn = self.world.transactions.get(txid)
         if txn is None or txn.proposer_chain != self.chain.id:
             raise MethodFailure("UnknownTransaction")
+        if caller != txn.originator:
+            raise MethodFailure("NotOriginator")
+        if txid in self.proposed:
+            raise MethodFailure("AlreadyProposed")
         if self.active is not None:
             raise MethodFailure("ExecutorBusy")
+        self.proposed.add(txid)
         machine = ProposerMachine(self, txn)
         self.active = machine
         self.world.machines.append(machine)
@@ -118,6 +127,9 @@ class ExecutorContract:
             raise MethodFailure("BadRequest")
         txid = decode_text(params[0])
         targets = [decode_address(p) for p in params[1:]]
+        if txid in self.served:
+            raise MethodFailure("AlreadyLocked")
+        self.served.add(txid)
         acquired = []
         for target in targets:
             outcome = self.chain.lock(self.addr, target, txid=txid)

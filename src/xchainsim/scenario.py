@@ -11,20 +11,31 @@ mapping's reader does not read is rejected at its location too; which
 keys an injection or a payload has depends on its op or type.
 `build_world` turns the result plus a seed into a runnable World, and
 rejects an adversary entry that names a missing chain or bridge, or a
-bridge that is not adversarial.  Bundled scenarios under
-``xchainsim/scenarios/`` can be referenced by bare name instead of a
-path.
+bridge that is not adversarial.  A bare name that is no file names a
+bundled scenario, looked up under the package's ``scenarios/``
+directory.
+
+A file is loaded in two steps.  libyaml composes it into a node tree,
+with every tag resolved as PyYAML's safe loader resolves it; then one
+walk builds the values.  A plain mapping or list becomes a dict or a
+list, registered before its children so that an alias shares one object
+and a recursive alias stays recursive; a string, int, bool or null
+scalar becomes its value through the loader's own constructors.  Every
+other YAML feature (a ``<<`` merge, ``!!set``, ``!!omap``, floats,
+timestamps, ``!!binary``, an unknown tag) falls through to PyYAML's
+constructor, so the walk builds what ``yaml.load`` builds and raises
+what it raises.
 """
 
 from __future__ import annotations
 
-import importlib.resources
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import yaml
+from yaml.constructor import ConstructorError
 
 from .bridge import Ack, Anotify, BridgeId, Rcall, HONEST, ADVERSARIAL
 from .chain import Address, ScenarioError
@@ -35,6 +46,7 @@ from .txn import CrossChainTransaction, IndexedAction
 
 # libyaml's loader parses about ten times faster where it is installed.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_BUNDLED = Path(__file__).parent / "scenarios"
 
 
 class ValidationError(ScenarioError):
@@ -192,8 +204,7 @@ def _values(raw: dict, key, where: str) -> list:
 
 
 def bundled_scenarios() -> list:
-    root = importlib.resources.files("xchainsim") / "scenarios"
-    return sorted(p.name[:-len(".yaml")] for p in root.iterdir()
+    return sorted(p.name[:-len(".yaml")] for p in _BUNDLED.iterdir()
                   if p.name.endswith(".yaml"))
 
 
@@ -201,10 +212,9 @@ def resolve_scenario_path(ref: str) -> Path:
     path = Path(ref)
     if path.exists():
         return path
-    bundled = importlib.resources.files("xchainsim") / "scenarios" / \
-        ("%s.yaml" % ref)
+    bundled = _BUNDLED / ("%s.yaml" % ref)
     if bundled.is_file():
-        return Path(str(bundled))
+        return bundled
     raise ValidationError("scenario %r: no such file or bundled name "
                           "(bundled: %s)" % (ref, ", ".join(
                               bundled_scenarios())))
@@ -213,10 +223,57 @@ def resolve_scenario_path(ref: str) -> Path:
 def load_scenario(ref: str) -> Scenario:
     path = resolve_scenario_path(ref)
     try:
-        raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
-    except yaml.YAMLError as err:
+        raw = read_yaml(path.read_text())
+    except (yaml.YAMLError, RecursionError) as err:   # or nested too deep
         raise ValidationError("%s: parse error: %s" % (path, err)) from None
     return parse_scenario(raw, default_name=path.stem)
+
+
+_TAG = "tag:yaml.org,2002:"
+_MAP, _SEQ = _TAG + "map", _TAG + "seq"
+_FLATTENED = (_TAG + "merge", _TAG + "value")   # keys that rewrite a mapping
+_SCALARS = {_TAG + "str": lambda loader, node: node.value,
+            _TAG + "int": _YAML_LOADER.construct_yaml_int,
+            _TAG + "bool": _YAML_LOADER.construct_yaml_bool,
+            _TAG + "null": lambda loader, node: None}
+
+
+def read_yaml(text: str):
+    """The value of the one YAML document in `text`: what
+    ``yaml.load(text, Loader=_YAML_LOADER)`` returns, built by `_build`."""
+    loader = _YAML_LOADER(text)
+    try:
+        node = loader.get_single_node()
+        return None if node is None else _build(loader, node)
+    finally:
+        loader.dispose()
+
+
+def _build(loader, node):
+    """The value of `node`, as the loader's constructor would build it."""
+    tag = node.tag
+    if tag in _SCALARS and type(node) is yaml.ScalarNode:
+        return _SCALARS[tag](loader, node)
+    built = loader.constructed_objects   # PyYAML's own memo, shared with it
+    if node in built:
+        return built[node]
+    if tag == _MAP and type(node) is yaml.MappingNode and not any(
+            key_node.tag in _FLATTENED for key_node, _ in node.value):
+        data = built[node] = {}
+        for key_node, value_node in node.value:
+            key = _build(loader, key_node)
+            if type(key).__hash__ is None:
+                raise ConstructorError("while constructing a mapping",
+                                       node.start_mark, "found unhashable key",
+                                       key_node.start_mark)
+            data[key] = _build(loader, value_node)
+        return data
+    if tag == _SEQ and type(node) is yaml.SequenceNode:
+        data = built[node] = []
+        for child in node.value:
+            data.append(_build(loader, child))
+        return data
+    return loader.construct_object(node, deep=True)
 
 
 def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:

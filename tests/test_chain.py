@@ -154,11 +154,13 @@ def test_setting_a_counter_to_its_value_lists_no_writes(world):
     counter = Address("one", "counter")
     world.add_contract("one", "counter", "counter", init={"count": 3})
     chain = chain_of(world)
+    before = world.state()
     outcome = chain.invoke(ALICE, counter, "set", [3])
     assert outcome.ok and outcome.result == 3
     event = last_invoke(world)
     assert event.data["ok"] and "writes" not in event.data
     assert chain.contract(counter).vars == {"count": 3}
+    assert world.state() == before
 
 
 def test_transfer_writes_exactly_its_target(world):
@@ -179,15 +181,37 @@ def test_failed_body_restores_its_target_and_records_no_writes(world):
 
     token = chain.contract(TOKEN)
     token.methods["spend"] = spend_then_fail
-    before = dict(token.vars)
+    before, state = dict(token.vars), world.state()
     outcome = chain.invoke(ALICE, TOKEN, "spend", [])
     assert not outcome.ok and outcome.reason == "Changed"
-    assert token.vars == before
+    assert token.vars == before and world.state() == state
     event = last_invoke(world)
     assert event.data["err"] == "Changed" and "writes" not in event.data
     # the library is untouched: another token has no such method
     world.add_contract("one", "other", "token")
     assert "spend" not in chain.contract(Address("one", "other")).methods
+
+
+def test_aborting_unlock_drops_a_holder_added_under_the_lock(world):
+    # vars, writes and World.state() as recorded from the implementation
+    # that checkpoints a locked contract's whole vars
+    chain = chain_of(world)
+    executor = chain.executor_addr
+    start = {"bal:alice": 10, "bal:bob": 0, "bal:eve": 0}
+    start_entry = tuple(sorted(start.items()))
+    assert chain.lock(executor, TOKEN).ok
+    assert world.state() == ((TOKEN, start_entry, executor, start_entry),)
+    assert chain.invoke(executor, TOKEN, "transfer",
+                        [b"alice", b"carol", 4]).ok
+    assert last_invoke(world).data["writes"] == [TOKEN]
+    assert chain.contract(TOKEN).vars == {
+        "bal:alice": 6, "bal:bob": 0, "bal:eve": 0, "bal:carol": 4}
+    assert world.state() == ((TOKEN, (("bal:alice", 6), ("bal:bob", 0),
+                                      ("bal:carol", 4), ("bal:eve", 0)),
+                              executor, start_entry),)
+    assert chain.unlock(executor, TOKEN, failure=True).ok
+    assert chain.contract(TOKEN).vars == start
+    assert world.state() == ((TOKEN, start_entry, None, None),)
 
 
 # ---------------------------------------------------------------------------

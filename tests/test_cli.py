@@ -3,7 +3,22 @@
 import pytest
 
 from xchainsim import ScenarioError, ValidationError, World, parse_scenario
+from xchainsim import scenario
 from xchainsim.cli import main
+from test_scenario import assert_loads_alike
+
+
+@pytest.fixture(autouse=True)
+def every_file_loads_as_yaml_load_does(monkeypatch):
+    """Each text these tests load builds what yaml.load builds, and
+    parses to the same scenario or the same error."""
+    read = scenario.read_yaml
+
+    def read_checked(text):
+        assert_loads_alike(text)
+        return read(text)
+
+    monkeypatch.setattr(scenario, "read_yaml", read_checked)
 
 NAME_RULE = ("must be a non-empty string with no whitespace or any of "
              "= , / : # > [ ] ( ) { }")
@@ -104,6 +119,9 @@ transactions:
   - {txid: t, proposer: a, tick: %(tick)s, actions: %(actions)s}
 adversary: %(adversary)s
 """
+FORGE_NO_ROUTE_BACK = ("[{tick: 1, op: forge, src: a, dst: b, "
+                       "payload: {type: ack}}]\n"
+                       "bridges: [{src: a, dst: b, mode: adversarial}]")
 WELL_FORMED = {
     "stop": "{quiesce: true}", "token_init": "{alice: 5}",
     "counter_init": "{count: 0}", "tick": "0",
@@ -146,11 +164,14 @@ WELL_FORMED = {
     ("bridges", "[]\nbridge: [{src: a, dst: b}]", "bad.bridge: unknown key; "
      "the keys here are name, lock_order, stop, chains, bridges, "
      "transactions, adversary"),
+    # the second bridges key replaces the first: one bridge, a>b
+    ("adversary", FORGE_NO_ROUTE_BACK, "adversary forge at tick 1: no "
+     "adapter pair between b and a, so the forge needs a dest"),
 ], ids=["bridge-int", "action-int", "injection-int", "adversary-int",
         "stop-int", "max-ticks-str", "quiesce-quoted", "init-float",
         "init-list", "balance-str", "tick-negative", "delay-zero",
         "unknown-chain", "params-int", "target-missing", "stop-key",
-        "contract-key", "top-level-key"])
+        "contract-key", "top-level-key", "forge-no-route-back"])
 def test_check_malformed_scenario_exits_2_at_its_location(
         field, text, message, tmp_path, capsys):
     path = tmp_path / "bad.yaml"
@@ -159,6 +180,22 @@ def test_check_malformed_scenario_exits_2_at_its_location(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("command", ["run", "check", "sweep"])
+def test_forge_with_no_route_back_exits_2_before_the_run(command, tmp_path,
+                                                         capsys):
+    path, out = tmp_path / "bad.yaml", tmp_path / "t.trace"
+    path.write_text(MALFORMED_SCENARIO % dict(
+        WELL_FORMED, adversary=FORGE_NO_ROUTE_BACK))
+    argv = [command, "--scenario", str(path)]
+    if command == "run":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: adversary forge at tick 1: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stem,name", [("bad", "x y"), ("x y", None)])

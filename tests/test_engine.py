@@ -162,6 +162,42 @@ def test_forge_onto_empty_bridge_is_delivered():
     assert world.quiesced and not world.active_bridges
 
 
+def test_forge_with_no_route_back_needs_a_dest():
+    # a forge with no dest goes to the adapter of the reverse pair, so
+    # with no reverse bridge it is rejected before the run starts
+    world = World(seed=0)
+    world.add_chain("a")
+    world.add_chain("b")
+    world.add_bridge("a", "b", mode="adversarial")
+    forge = Injection(tick=1, op="forge", bridge=BridgeId("a", "b"),
+                      payload=Ack(seq=0, ok=True))
+    with pytest.raises(ScenarioError, match=re.escape(
+            "adversary forge at tick 1: no adapter pair between b and a, "
+            "so the forge needs a dest")):
+        world.add_injection(forge)
+    assert world.injections == []
+    forge.dest = Address("b", "token")
+    world.add_injection(forge)
+    world.run()
+    assert world.quiesced
+
+
+def test_forge_with_no_dest_goes_to_the_adapter_of_its_tagged_pair():
+    world = World(seed=0)
+    world.add_chain("a")
+    world.add_chain("b")
+    for tag in (0, 1):
+        world.add_bridge("a", "b", mode="adversarial", tag=tag)
+        world.add_bridge("b", "a", mode="adversarial", tag=tag)
+    world.add_injection(Injection(tick=1, op="forge",
+                                  bridge=BridgeId("a", "b", 1),
+                                  payload=Ack(seq=0, ok=True)))
+    world.run()
+    [recv] = [e for e in world.trace.events if e.kind == RECV]
+    assert recv.data["bridge"] == BridgeId("a", "b", 1)
+    assert recv.data["dest"] == Address("b", "adapter:a#1")
+
+
 def test_drop_that_empties_a_queue_still_quiesces():
     world = _adversarial_world()
     drop = Injection(tick=0, op="drop", bridge=FORGE.bridge, queue_index=0)

@@ -390,6 +390,75 @@ def adversarial_swap():
         dataclasses.replace(b, mode=ADVERSARIAL) for b in swap.bridges])
 
 
+def outcomes(trace):
+    return [e.data["outcome"] for e in trace.events if e.kind == OUTCOME]
+
+
+def executor_calls(trace, chain, method):
+    return [(e.tick, e.data["caller"], e.data["ok"], e.data.get("err"))
+            for e in trace.events if e.kind == INVOKE and e.chain == chain
+            and e.data["method"] == method]
+
+
+def alices_fantom_balance(world):
+    token = world.chains["fantom"].contract(Address("fantom", "token"))
+    return token.vars["bal:alice"]
+
+
+@pytest.mark.parametrize("caller,err", [("eve", "NotOriginator"),
+                                        ("alice", "AlreadyProposed")])
+def test_a_finished_transaction_is_not_run_again(caller, err):
+    # swap1 commits long before tick 30; a second run would make alice
+    # pay 5 more fantom tokens
+    scenario = load_scenario("swap")
+    world = build_world(scenario, seed=0)
+    replayer = Address("fantom", caller)
+    world.add_injection(Injection(
+        tick=30, op="invoke", chain="fantom", caller=replayer,
+        target=Address("fantom", "exec"), method="propose",
+        params=[b"swap1"]))
+    trace = world.run(scenario.stop)
+    assert outcomes(trace) == [COMMITTED]
+    assert executor_calls(trace, "fantom", "propose") == [
+        (0, Address("fantom", "alice"), True, None),
+        (30, replayer, False, err)]
+    assert alices_fantom_balance(world) == 45
+    assert len(world.machines) == 1
+
+
+@pytest.mark.parametrize("tick", [15, 20])
+def test_a_forged_propose_is_refused(adversarial_swap, tick):
+    world = build_world(adversarial_swap, seed=0)
+    world.add_injection(Injection(
+        tick=tick, op="forge", bridge=BridgeId("mumbai", "fantom"),
+        payload=Rcall(target=Address("fantom", "exec"), method="propose",
+                      params=(b"swap1",), seq=9)))
+    trace = world.run(adversarial_swap.stop)
+    assert outcomes(trace) == [COMMITTED]
+    [_, forged] = executor_calls(trace, "fantom", "propose")
+    assert forged[1:] == (Address("fantom", "adapter:mumbai"), False,
+                          "NotOriginator")
+    assert alices_fantom_balance(world) == 45
+
+
+@pytest.mark.parametrize("tick", range(6))
+def test_a_forged_lock_scope_strands_no_lock(adversarial_swap, tick):
+    world = build_world(adversarial_swap, seed=0)
+    world.add_injection(Injection(
+        tick=tick, op="forge", bridge=BridgeId("fantom", "mumbai"),
+        payload=Rcall(target=Address("mumbai", "exec"), method="lock_scope",
+                      params=(b"swap1",), seq=9)))
+    trace = world.run(adversarial_swap.stop)
+    assert world.quiesced
+    assert not [c.addr for chain in world.chains.values()
+                for c in chain.contracts.values() if c.locked]
+    # the honest request and the forged one: whichever comes second is
+    # refused, and the other one is served
+    calls = executor_calls(trace, "mumbai", "lock_scope")
+    assert sorted(err or "" for _, _, _, err in calls) == ["",
+                                                          "AlreadyLocked"]
+
+
 # The executor's four methods, the library's, and two it has none of.
 FORGED_METHODS = ["propose", "lock_scope", "run_action", "unlock_scope",
                   "transfer", "mint", "incr", "set", "notification", "noop",
