@@ -5,8 +5,15 @@
     xchainsim metrics --scenario swap
     xchainsim sweep   --scenario swap --seeds 100
 
-Exit codes: 0 success, 1 property violation, 2 configuration error
-(ScenarioError), 3 serializability budget exceeded (BudgetExceededError).
+A command takes only the options it reads.  Every command takes
+--scenario, --seed, --lock-order and -v; run and check also take --out,
+check and sweep take --budget, and sweep takes --seeds.
+
+Exit codes: 0 success, 1 property violation, 2 bad argument (argparse)
+or configuration error (ScenarioError: an invalid scenario, a scenario
+file that cannot be read, a trace that cannot be written), 3
+serializability budget exceeded (BudgetExceededError).  Exit 1 is kept
+for a failed property.
 """
 
 from __future__ import annotations
@@ -29,18 +36,17 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", required=True,
-                        help="scenario file path or bundled scenario name")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None, help="trace output path")
-    parser.add_argument("--budget", type=int, default=14,
-                        help="mutating-event budget for the "
-                             "serializability search")
-    parser.add_argument("--lock-order", choices=("canonical", "declared"),
-                        default=None, help="override the scenario's lock "
-                                           "acquisition order")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
+def _int_at_least(low: int):
+    """An argparse type for an int >= `low`; argparse exits 2 on any
+    other text."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "%r must be an int >= %d" % (text, low))
+        return value
+    parse.__name__ = "int"    # argparse's "invalid int value" names it
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,16 +54,33 @@ def build_parser() -> argparse.ArgumentParser:
         prog="xchainsim",
         description="Simulate and verify atomic cross-chain transactions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (("run", "run a scenario and write its trace"),
-                       ("check", "run a scenario and all checkers"),
-                       ("metrics", "print per-chain message/operation "
-                                   "counts"),
-                       ("sweep", "run many seeds and aggregate results")):
+
+    def command(name, handler, text):
         p = sub.add_parser(name, help=text)
-        _add_common(p)
-        if name == "sweep":
-            p.add_argument("--seeds", type=int, default=100,
-                           help="number of seeds, starting at --seed")
+        p.set_defaults(handler=handler)
+        p.add_argument("--scenario", required=True,
+                       help="scenario file path or bundled scenario name")
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
+        p.add_argument("--lock-order", choices=("canonical", "declared"),
+                       default=None, help="override the scenario's lock "
+                                          "acquisition order")
+        p.add_argument("-v", "--verbose", action="count", default=0)
+        return p
+
+    run = command("run", cmd_run, "run a scenario and write its trace")
+    check = command("check", cmd_check, "run a scenario and all checkers")
+    command("metrics", cmd_metrics,
+            "print per-chain message/operation counts")
+    sweep = command("sweep", cmd_sweep,
+                    "run many seeds and aggregate results")
+    for p in (run, check):
+        p.add_argument("--out", default=None, help="trace output path")
+    for p in (check, sweep):
+        p.add_argument("--budget", type=_int_at_least(0), default=14,
+                       help="mutating-event budget for the "
+                            "serializability search")
+    sweep.add_argument("--seeds", type=_int_at_least(1), default=100,
+                       help="number of seeds, starting at --seed")
     return parser
 
 
@@ -71,8 +94,12 @@ def _simulate(args):
 def _write_trace(trace, out_path) -> None:
     text = trace.render()
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise ScenarioError("%s: cannot write trace: %s"
+                                % (out_path, err.strerror)) from None
     else:
         sys.stdout.write(text)
 
@@ -194,14 +221,8 @@ def main(argv=None) -> int:
                                                                2)]
     logging.basicConfig(level=level, stream=sys.stderr,
                         format="%(levelname)s %(message)s")
-    if args.seed < 0 or args.budget < 0 or getattr(args, "seeds", 0) < 0:
-        print("error: seed, budget, and seeds must be non-negative",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    handler = {"run": cmd_run, "check": cmd_check,
-               "metrics": cmd_metrics, "sweep": cmd_sweep}[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except ScenarioError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_CONFIG

@@ -120,9 +120,9 @@ class World:
         chain = self.chains[chain_id]
         addr = Address(chain_id, local)
         if trusted is None:
-            trusted_addrs = {chain.executor_addr}
+            trusted_addrs = (chain.executor_addr,)
         else:
-            trusted_addrs = {Address(chain_id, t) for t in trusted}
+            trusted_addrs = (Address(chain_id, t) for t in trusted)
         contract = build_contract(addr, kind, Address(chain_id, owner),
                                   init or {}, trusted_addrs)
         return chain.add_contract(contract)

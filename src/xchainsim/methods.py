@@ -9,6 +9,8 @@ of recorded invocations exact.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .chain import Address, Contract, MethodFailure
 
 
@@ -110,7 +112,9 @@ def library_kinds() -> list:
 
 
 def build_contract(addr: Address, kind: str, owner: Address,
-                   init_vars: dict, trusted: set) -> Contract:
+                   init_vars: dict, trusted: Iterable[Address]) -> Contract:
+    """A library contract with its own copies of `init_vars` and
+    `trusted`, so a caller may pass state it keeps."""
     if kind not in _LIBRARY:
         raise KeyError(kind)
     return Contract(addr=addr, vars=dict(init_vars), owner=owner, kind=kind,

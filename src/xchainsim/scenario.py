@@ -15,6 +15,9 @@ bridge that is not adversarial.  A bare name that is no file names a
 bundled scenario, looked up under the package's ``scenarios/``
 directory.
 
+A file is read as UTF-8 whatever the locale; one that cannot be read or
+decoded raises ValidationError naming its path.
+
 A file is loaded in two steps.  libyaml composes it into a node tree,
 with every tag resolved as PyYAML's safe loader resolves it; then one
 walk builds the values.  A plain mapping or list becomes a dict or a
@@ -29,6 +32,7 @@ what it raises.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -209,11 +213,12 @@ def bundled_scenarios() -> list:
 
 
 def resolve_scenario_path(ref: str) -> Path:
-    path = Path(ref)
-    if path.exists():
-        return path
+    # os.path answers False, where Path raises, for a name too long to be
+    # a path
+    if os.path.exists(ref):
+        return Path(ref)
     bundled = _BUNDLED / ("%s.yaml" % ref)
-    if bundled.is_file():
+    if os.path.isfile(bundled):
         return bundled
     raise ValidationError("scenario %r: no such file or bundled name "
                           "(bundled: %s)" % (ref, ", ".join(
@@ -223,7 +228,12 @@ def resolve_scenario_path(ref: str) -> Path:
 def load_scenario(ref: str) -> Scenario:
     path = resolve_scenario_path(ref)
     try:
-        raw = read_yaml(path.read_text())
+        raw = read_yaml(path.read_text(encoding="utf-8"))
+    except OSError as err:                            # a directory, say
+        raise ValidationError("%s: cannot read: %s"
+                              % (path, err.strerror)) from None
+    except UnicodeDecodeError as err:
+        raise ValidationError("%s: cannot read: %s" % (path, err)) from None
     except (yaml.YAMLError, RecursionError) as err:   # or nested too deep
         raise ValidationError("%s: parse error: %s" % (path, err)) from None
     return parse_scenario(raw, default_name=path.stem)

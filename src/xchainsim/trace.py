@@ -54,7 +54,7 @@ _FIELD_ORDER = {
     SEAL: ("block", "count"),
     LOCK: ("caller", "target", "ok", "err", "txid"),
     UNLOCK: ("caller", "target", "failure", "ok", "err", "txid"),
-    FUTURE: ("adapter", "seq", "state", "ok", "txid"),
+    FUTURE: ("adapter", "seq", "state", "ok"),
     ADVERSARY: ("op", "caller", "target", "method", "params", "bridge",
                 "msgid", "fake_block", "payload"),
     OUTCOME: ("txid", "outcome", "reason", "rounds"),

@@ -171,8 +171,8 @@ def build_replay_world(trace: Trace, extra_chains=()) -> World:
         try:
             contract = build_contract(
                 Address(snap.chain, snap.local), snap.kind,
-                Address.parse(snap.owner), dict(snap.vars),
-                {Address.parse(t) for t in snap.trusted})
+                Address.parse(snap.owner), snap.vars,
+                map(Address.parse, snap.trusted))
         except KeyError:
             raise ScenarioError(
                 "cannot replay contract kind %r (%s/%s); checkers support "

@@ -1,7 +1,13 @@
 """Command-line interface: exit codes and output shapes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import xchainsim
 from xchainsim import ScenarioError, ValidationError, World, parse_scenario
 from xchainsim import scenario
 from xchainsim.cli import main
@@ -272,6 +278,82 @@ def test_sweep_budget_exceeded_names_seed_and_exits_3(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("budget exceeded: at seed 5: ")
+
+
+# {tmp} stands for the test's own directory, which holds ff.yaml, a
+# file of the one byte 0xff
+@pytest.mark.parametrize("argv,message", [
+    (["check", "--scenario", "{tmp}"], "{tmp}: cannot read: Is a directory"),
+    (["check", "--scenario", ""], "scenario '': no such file or bundled "
+     "name"),
+    (["check", "--scenario", "x" * 300], "scenario '%s': no such file or "
+     "bundled name" % ("x" * 300)),
+    (["check", "--scenario", "{tmp}/ff.yaml"], "{tmp}/ff.yaml: cannot read: "
+     "'utf-8' codec can't decode byte 0xff in position 0"),
+    (["run", "--scenario", "swap", "--out", "{tmp}/missing/t.trace"],
+     "{tmp}/missing/t.trace: cannot write trace: No such file or directory"),
+    (["check", "--scenario", "swap", "--out", "{tmp}/missing/t.trace"],
+     "{tmp}/missing/t.trace: cannot write trace: No such file or directory"),
+], ids=["directory", "empty-name", "name-too-long", "byte-0xff",
+        "run-out-missing-dir", "check-out-missing-dir"])
+def test_unreadable_scenario_or_unwritable_trace_exits_2(argv, message,
+                                                        tmp_path, capsys):
+    (tmp_path / "ff.yaml").write_bytes(b"\xff")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: %s" % message.replace("{tmp}", str(tmp_path)))
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--budget", "3"], "unrecognized arguments: --budget 3"),
+    (["metrics", "--budget", "3"], "unrecognized arguments: --budget 3"),
+    (["metrics", "--out", "t.trace"], "unrecognized arguments: --out t.trace"),
+    (["sweep", "--out", "t.trace"], "unrecognized arguments: --out t.trace"),
+    (["check", "--seed", "-1"], "argument --seed: '-1' must be an int >= 0"),
+    (["check", "--budget", "-1"],
+     "argument --budget: '-1' must be an int >= 0"),
+    (["sweep", "--seeds", "0"], "argument --seeds: '0' must be an int >= 1"),
+], ids=["run-budget", "metrics-budget", "metrics-out", "sweep-out",
+        "seed-negative", "budget-negative", "seeds-zero"])
+def test_refused_argument_exits_2_through_argparse(argv, message, capsys):
+    # a command takes only the options it reads, each in its range
+    with pytest.raises(SystemExit) as exit_:
+        main(argv[:1] + ["--scenario", "swap"] + argv[1:])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: xchainsim ")
+    assert captured.err.endswith(": error: %s\n" % message)
+
+
+def test_a_non_int_value_is_an_invalid_int(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", "--scenario", "swap", "--seeds", "x"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --seeds: invalid int value: 'x'\n")
+
+
+def test_scenario_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    swap = Path(xchainsim.__file__).parent / "scenarios" / "swap.yaml"
+    path = tmp_path / "cafe.yaml"
+    path.write_bytes(swap.read_bytes() + "# café\n".encode("utf-8"))
+    src = str(Path(xchainsim.__file__).parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "xchainsim.cli", "check", "--scenario",
+         str(path), "--seed", "7"], env=env, capture_output=True,
+        timeout=60)
+    assert done.stderr == b""
+    assert done.returncode == 0
+    assert done.stdout.count(b"pass=b1") == 3
 
 
 @pytest.mark.parametrize("entry,message", [
