@@ -7,11 +7,11 @@ bodies.  The chain's executor is not one of them: its address is
 reserved, and `invoke` hands a call to it straight to the executor's
 dispatch handler, while every other call runs a contract method.
 
-A call touches its target and nothing else: a method body sees only the
-target's vars, its caller and its params (MethodContext), and reaches no
-other contract.  So `invoke` copies the target's vars alone before the
-body runs, restores that copy if the body fails, and records
-`writes=[target]` when the vars changed, or no `writes` at all.
+A contract owns its state transitions, which record nothing: `lock`
+checkpoints its vars, an aborting `unlock` restores them, and `call`
+runs a body that sees only the vars and the params, so a call touches
+its target alone.  The chain looks the target up (`UnknownTarget` if
+missing) and records the attempt, with `writes=[target]` if a call wrote.
 
 Of its open block the chain keeps what the run reads: how many invokes,
 locks, unlocks and sends it records, and the sends themselves.  A seal
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .trace import INVOKE, LOCK, UNLOCK, SEAL, Trace, memoized
 
@@ -103,25 +103,58 @@ class Contract:
     def locked(self) -> bool:
         return self.locked_by is not None
 
+    # Each transition returns or raises the refusal reason, if any.
+
+    def lock(self, caller: Address) -> Optional[str]:
+        if self.locked:
+            return "AlreadyLocked"
+        if caller not in self.trusted_executors:
+            return "NotTrusted"
+        self.locked_by = caller
+        self.checkpoint = dict(self.vars)
+        return None
+
+    def unlock(self, caller: Address, failure: bool) -> Optional[str]:
+        if not self.locked or caller != self.locked_by:
+            return "NotLockOwner"
+        if failure:
+            self.vars = dict(self.checkpoint)
+        self.locked_by = None
+        self.checkpoint = None
+        return None
+
+    def call(self, caller: Address, method: str, params: Sequence) -> tuple:
+        """(result, whether the vars changed); a failed body is undone."""
+        body = self.methods.get(method)
+        if body is None:
+            raise MethodFailure("UnknownMethod")
+        if self.locked and caller != self.locked_by:
+            raise MethodFailure("LockedByOther")
+        # Values are immutable, so a dict copy is a full checkpoint.
+        pre = dict(self.vars)
+        try:
+            result = body(self.vars, params)
+        except MethodFailure:
+            self.vars = pre
+            raise
+        return result, self.vars != pre
+
+
+def contract_entry(contract: Contract) -> tuple:
+    """One contract's part of World.state(): its address, sorted
+    variables, lock owner and checkpoint (None when unlocked, kept apart
+    from an empty checkpoint)."""
+    checkpoint = contract.checkpoint
+    return (contract.addr, tuple(sorted(contract.vars.items())),
+            contract.locked_by,
+            None if checkpoint is None else tuple(sorted(checkpoint.items())))
+
 
 @dataclass
 class InvokeOutcome:
     ok: bool
     result: Optional[Value] = None
     reason: Optional[str] = None
-
-
-class MethodContext:
-    """What a method body sees: the live vars of the target contract, the
-    external caller and the params.  A body changes the vars in place or
-    raises MethodFailure, after which `Chain.invoke` restores them."""
-
-    __slots__ = ("vars", "caller", "params")
-
-    def __init__(self, vars_: dict, caller: Address, params: list):
-        self.vars = vars_
-        self.caller = caller
-        self.params = params
 
 
 class Chain:
@@ -168,10 +201,12 @@ class Chain:
             data["actor"] = actor
         try:
             if target == self.executor_addr:
-                result = self.dispatch(caller, method, params, depth)
+                result = self.dispatch(caller, method, params)
             else:
-                result, wrote = self._run_method(caller, target, method,
-                                                 params)
+                contract = self.contracts.get(target)
+                if contract is None:
+                    raise MethodFailure("UnknownTarget")
+                result, wrote = contract.call(caller, method, params)
                 if wrote:
                     data["writes"] = [target]
         except MethodFailure as f:
@@ -180,32 +215,15 @@ class Chain:
 
     def lock(self, caller: Address, target: Address, txid=None) -> InvokeOutcome:
         contract = self.contracts.get(target)
-        if contract is None:
-            reason = "UnknownTarget"
-        elif contract.locked:
-            reason = "AlreadyLocked"
-        elif caller not in contract.trusted_executors:
-            reason = "NotTrusted"
-        else:
-            reason = None
-            contract.locked_by = caller
-            contract.checkpoint = dict(contract.vars)
+        reason = "UnknownTarget" if contract is None else contract.lock(caller)
         return self._record(LOCK, {"caller": caller, "target": target}, txid,
                             reason)
 
     def unlock(self, caller: Address, target: Address, failure: bool,
                txid=None) -> InvokeOutcome:
         contract = self.contracts.get(target)
-        if contract is None:
-            reason = "UnknownTarget"
-        elif not contract.locked or caller != contract.locked_by:
-            reason = "NotLockOwner"
-        else:
-            reason = None
-            if failure:
-                contract.vars = dict(contract.checkpoint)
-            contract.locked_by = None
-            contract.checkpoint = None
+        reason = "UnknownTarget" if contract is None \
+            else contract.unlock(caller, failure)
         return self._record(UNLOCK, {"caller": caller, "target": target,
                                      "failure": failure}, txid, reason)
 
@@ -227,27 +245,6 @@ class Chain:
         return sends
 
     # Internals ----------------------------------------------------------
-
-    def _run_method(self, caller, target, method, params) -> tuple:
-        """Run a contract's method and return (result, whether the
-        target's vars changed).  A refusal or a failed body raises
-        MethodFailure, the latter after restoring the target's vars."""
-        contract = self.contracts.get(target)
-        if contract is None:
-            raise MethodFailure("UnknownTarget")
-        body = contract.methods.get(method)
-        if body is None:
-            raise MethodFailure("UnknownMethod")
-        if contract.locked and caller != contract.locked_by:
-            raise MethodFailure("LockedByOther")
-        # Values are immutable, so a dict copy is a full checkpoint.
-        pre = dict(contract.vars)
-        try:
-            result = body(MethodContext(contract.vars, caller, params))
-        except MethodFailure:
-            contract.vars = pre
-            raise
-        return result, contract.vars != pre
 
     def _record(self, kind: str, data: dict, txid, reason=None,
                 result=None) -> InvokeOutcome:

@@ -9,16 +9,17 @@ A command takes only the options it reads.  Every command takes
 --scenario, --seed, --lock-order and -v; run and check also take --out,
 check and sweep take --budget, and sweep takes --seeds.
 
-Exit codes: 0 success, 1 property violation, 2 bad argument (argparse)
-or configuration error (ScenarioError: an invalid scenario, a scenario
-file that cannot be read, a trace that cannot be written), 3
-serializability budget exceeded (BudgetExceededError).  Exit 1 is kept
-for a failed property.
+Exit codes: 0 success, 1 property violation, 2 bad argument (argparse),
+configuration error (ScenarioError: an invalid scenario, a scenario file
+that cannot be read, a trace that cannot be written) or output that
+cannot be written to stdout, 3 serializability budget exceeded
+(BudgetExceededError).  Exit 1 is kept for a failed property.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import sys
 
@@ -222,13 +223,22 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, stream=sys.stderr,
                         format="%(levelname)s %(message)s")
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except ScenarioError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_CONFIG
     except BudgetExceededError as err:
         print("budget exceeded: %s" % err, file=sys.stderr)
         return EXIT_BUDGET
+    except OSError as err:   # writing stdout; the rest are ScenarioErrors
+        print("error: cannot write output: %s" % err.strerror,
+              file=sys.stderr)
+        # drop the unwritten output, or the exit flush fails with 120
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

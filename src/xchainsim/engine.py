@@ -35,7 +35,7 @@ from typing import Optional
 from .adapter import Adapter
 from .bridge import (ADVERSARIAL, Bridge, BridgeId, BridgeMessage,
                      BridgePolicy)
-from .chain import Address, Chain, Contract, ScenarioError
+from .chain import Address, Chain, Contract, ScenarioError, contract_entry
 from .executor import ExecutorContract
 from .methods import build_contract
 from .trace import ADVERSARY, ANOMALY, SEND, ContractSnapshot, Trace
@@ -234,7 +234,7 @@ class World:
     def snapshot(self) -> list:
         out = []
         for addr, vars_, _, _ in self.state():
-            contract = self.chains[addr.chain].contracts[addr]
+            contract = self.contract(addr)
             out.append(ContractSnapshot(
                 chain=addr.chain, local=addr.local, kind=contract.kind,
                 owner=contract.owner.canon(),
@@ -391,6 +391,11 @@ class World:
 
     # Contract state -------------------------------------------------------
 
+    def contract(self, addr: Address) -> Optional[Contract]:
+        """The contract at `addr`; None if it or its chain is missing."""
+        chain = self.chains.get(addr.chain)
+        return None if chain is None else chain.contracts.get(addr)
+
     def state(self) -> tuple:
         """Every contract's state as one hashable value: its
         contract_entry() in address order.  restore() writes it back."""
@@ -403,7 +408,7 @@ class World:
         """Write back contract entries: a whole state() value, or any
         iterable of entries for the contracts that differ."""
         for addr, vars_, locked_by, checkpoint in state:
-            contract = self.chains[addr.chain].contracts[addr]
+            contract = self.contract(addr)
             contract.vars = dict(vars_)
             contract.locked_by = locked_by
             contract.checkpoint = None if checkpoint is None \
@@ -416,13 +421,3 @@ def adapter_local(remote_chain: str, tag: int) -> str:
     if tag == 0:
         return "adapter:%s" % remote_chain
     return "adapter:%s#%d" % (remote_chain, tag)
-
-
-def contract_entry(contract: Contract) -> tuple:
-    """One contract's part of World.state(): its address, sorted
-    variables, lock owner and checkpoint (None when unlocked, kept apart
-    from an empty checkpoint)."""
-    checkpoint = contract.checkpoint
-    return (contract.addr, tuple(sorted(contract.vars.items())),
-            contract.locked_by,
-            None if checkpoint is None else tuple(sorted(checkpoint.items())))

@@ -86,13 +86,13 @@ class ExecutorContract:
 
     # Dispatch from chain.invoke ----------------------------------------
 
-    def dispatch(self, caller: Address, method: str, params: list, depth: int):
+    def dispatch(self, caller: Address, method: str, params: list):
         if method == "propose":
             return self._propose(caller, params)
         if method == "lock_scope":
             return self._lock_scope(caller, params)
         if method == "run_action":
-            return self._run_action(caller, params, depth)
+            return self._run_action(caller, params)
         if method == "unlock_scope":
             return self._unlock_scope(caller, params)
         raise MethodFailure("UnknownMethod")
@@ -141,7 +141,7 @@ class ExecutorContract:
         self.participant_locks[txid] = acquired
         return True
 
-    def _run_action(self, caller: Address, params: list, depth: int):
+    def _run_action(self, caller: Address, params: list):
         self._authorize(caller)
         if len(params) < 3:
             raise MethodFailure("BadRequest")
@@ -158,8 +158,9 @@ class ExecutorContract:
         # the proposer unlock before a late run_action arrives.
         if target not in self.participant_locks.get(txid, ()):
             raise MethodFailure("ScopeNotLocked")
+        # a contract, never this executor: one below the dispatching call
         outcome = self.chain.invoke(self.addr, target, method, args,
-                                    depth=depth + 1, txid=txid)
+                                    depth=1, txid=txid)
         if not outcome.ok:
             raise MethodFailure(outcome.reason)
         return outcome.result

@@ -1,10 +1,10 @@
 """Built-in contract method library.
 
 Scenarios pick a contract `kind`; the kind decides which methods the
-contract exposes.  A body sees only its own contract's vars (see
-`MethodContext`), so a call writes its target or nothing, and every body
-is a pure function of (vars, params, caller).  That makes oracle replay
-of recorded invocations exact.
+contract exposes.  A body, `body(vars_, params)`, changes only its own
+contract's vars (see `Contract.call`), so a call writes its target or
+nothing, and every body is a pure function of (vars, params).  That
+makes oracle replay of recorded invocations exact.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ def _as_int(value) -> int:
     return value
 
 
-def _int_var(ctx, key: str) -> int:
+def _int_var(vars_: dict, key: str) -> int:
     """A variable the method counts with; a scenario may have set it to
     any value, and a non-int one refuses the call."""
-    value = ctx.vars.get(key, 0)
+    value = vars_.get(key, 0)
     if isinstance(value, bool) or not isinstance(value, int):
         raise MethodFailure("BadState")
     return value
@@ -39,62 +39,62 @@ def _balance_key(account: str) -> str:
     return "bal:" + account
 
 
-def _token_transfer(ctx):
-    if len(ctx.params) != 3:
+def _token_transfer(vars_, params):
+    if len(params) != 3:
         raise MethodFailure("BadParams")
-    src = _balance_key(_as_name(ctx.params[0]))
-    dst = _balance_key(_as_name(ctx.params[1]))
-    amount = _as_int(ctx.params[2])
+    src = _balance_key(_as_name(params[0]))
+    dst = _balance_key(_as_name(params[1]))
+    amount = _as_int(params[2])
     if amount < 0:
         raise MethodFailure("BadParams")
-    have = ctx.vars.get(src, 0)
+    have = vars_.get(src, 0)
     if have < amount:
         raise MethodFailure("InsufficientFunds")
-    ctx.vars[src] = have - amount
-    ctx.vars[dst] = ctx.vars.get(dst, 0) + amount
+    vars_[src] = have - amount
+    vars_[dst] = vars_.get(dst, 0) + amount
     return True
 
 
-def _token_mint(ctx):
-    if len(ctx.params) != 2:
+def _token_mint(vars_, params):
+    if len(params) != 2:
         raise MethodFailure("BadParams")
-    dst = _balance_key(_as_name(ctx.params[0]))
-    amount = _as_int(ctx.params[1])
+    dst = _balance_key(_as_name(params[0]))
+    amount = _as_int(params[1])
     if amount < 0:
         raise MethodFailure("BadParams")
-    ctx.vars[dst] = ctx.vars.get(dst, 0) + amount
+    vars_[dst] = vars_.get(dst, 0) + amount
     return True
 
 
-def _counter_incr(ctx):
-    if len(ctx.params) != 1:
+def _counter_incr(vars_, params):
+    if len(params) != 1:
         raise MethodFailure("BadParams")
-    ctx.vars["count"] = _int_var(ctx, "count") + _as_int(ctx.params[0])
-    return ctx.vars["count"]
+    vars_["count"] = _int_var(vars_, "count") + _as_int(params[0])
+    return vars_["count"]
 
 
-def _counter_set(ctx):
-    if len(ctx.params) != 1:
+def _counter_set(vars_, params):
+    if len(params) != 1:
         raise MethodFailure("BadParams")
-    ctx.vars["count"] = _as_int(ctx.params[0])
-    return ctx.vars["count"]
+    vars_["count"] = _as_int(params[0])
+    return vars_["count"]
 
 
-def _noop(ctx):
+def _noop(vars_, params):
     return True
 
 
-def _always_fail(ctx):
+def _always_fail(vars_, params):
     raise MethodFailure("AlwaysFails")
 
 
-def _notification(ctx):
+def _notification(vars_, params):
     # Destination hook for cross-chain notifications: params are
     # (origin contract, origin chain, data).
-    if len(ctx.params) != 3:
+    if len(params) != 3:
         raise MethodFailure("BadParams")
-    ctx.vars["note_count"] = _int_var(ctx, "note_count") + 1
-    ctx.vars["note_last"] = ctx.params[2]
+    vars_["note_count"] = _int_var(vars_, "note_count") + 1
+    vars_["note_last"] = params[2]
     return True
 
 

@@ -9,7 +9,7 @@ import graphlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .chain import Address, ScenarioError
+from .chain import Address, MethodFailure, ScenarioError, contract_entry
 
 
 class CyclicOrderError(ScenarioError):
@@ -143,24 +143,24 @@ class IdealReport:
 
 def ideal_execute(txn: CrossChainTransaction, world) -> IdealReport:
     """Reference semantics: run the layers sequentially on `world` with
-    no locking and no interference.
+    no locking, no interference and no records: each action is one
+    `Contract.call` by its chain's executor.
 
     On success `world` keeps the result; on the first failure the scoped
     contracts roll back, leaving `world` as it was.  A caller that needs
     `world` unchanged either way saves `world.state()` and restores it.
     """
-    scoped = {a.target: world.chains[a.chain].contract(a.target)
-              for a in txn.actions}
-    checkpoint = {addr: dict(c.vars) for addr, c in scoped.items()}
-
+    scoped = map(world.contract, {a.target for a in txn.actions})
+    saved = [contract_entry(c) for c in scoped if c is not None]
     for layer in txn.layers:
         for action in layer:
-            chain = world.chains[action.chain]
-            outcome = chain.invoke(chain.executor_addr, action.target,
-                                   action.method, list(action.params),
-                                   txid=txn.txid)
-            if not outcome.ok:
-                for addr, vars_ in checkpoint.items():
-                    scoped[addr].vars = dict(vars_)
-                return IdealReport(False, action.action_id, outcome.reason)
+            contract = world.contract(action.target)
+            try:
+                if contract is None:
+                    raise MethodFailure("UnknownTarget")
+                contract.call(world.chains[action.chain].executor_addr,
+                              action.method, action.params)
+            except MethodFailure as f:
+                world.restore(saved)
+                return IdealReport(False, action.action_id, f.reason)
     return IdealReport(True)

@@ -13,14 +13,14 @@ Replay uses one world rebuilt from the initial snapshot.  The search
 gives every mutating event one bit and a need mask, the events that
 program, layer, actor and real-time order put before it; its progress is
 one mask of placed events plus the open transaction.  It replays each
-event through the chain's own lock, unlock and invoke.
+event on its target contract alone, which records nothing.
 
 A search step costs one contract, not the whole world.  A state is one
 interned number per contract_entry(), in World.state() order.  A step's
 result depends only on the event and its target's entry: lock and
 unlock read and write only their target, and a call touches its target
-and nothing else, since a method body sees only the target's vars, the
-params and the caller, and is a pure function of them.  So the search
+and nothing else, since a method body sees only the target's vars and
+the params, and is a pure function of them.  So the search
 keeps one table from (event, target entry number) to the target's entry
 number after the step, or None when the step is refused or fails.  A
 step seen before is a dict lookup and needs no world.  Only before a
@@ -48,8 +48,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .chain import Address, Chain, ScenarioError
-from .engine import World, contract_entry
+from .chain import (Address, Chain, MethodFailure, ScenarioError,
+                    contract_entry)
+from .engine import World
 from .methods import build_contract
 from .trace import (INVOKE, LOCK, OUTCOME, RECV, SEND, UNLOCK, Trace, canon)
 from .txn import ideal_execute
@@ -154,19 +155,17 @@ def check_secure_transfer(trace: Trace) -> Verdict:
 # Replay-world reconstruction
 
 
-def build_replay_world(trace: Trace, extra_chains=()) -> World:
+def build_replay_world(trace: Trace) -> World:
     """Rebuild the trace's initial contracts in a world of bare chains.
 
-    Replay calls only lock, unlock and contract methods, so its chains
-    have no executor, and a contract may hold any name, the one the run's
-    executor had included.  Contracts must come from the built-in method
-    library; other method bodies cannot be rebuilt from a trace.
+    Replay steps contracts directly, so its chains have no executor, and
+    a contract may hold any name, the one the run's executor had
+    included.  Contracts must come from the built-in method library;
+    other method bodies cannot be rebuilt from a trace.
     """
     world = World(seed=0, scenario_name=trace.scenario + ":replay")
-    chains = {s.chain for s in trace.initial} | set(extra_chains)
-    for chain_id in sorted(chains):
-        world.chains[chain_id] = Chain(chain_id, world.trace,
-                                       open_chains=world.open_chains)
+    for chain_id in sorted({s.chain for s in trace.initial}):
+        world.chains[chain_id] = Chain(chain_id, world.trace)
     for snap in trace.initial:
         try:
             contract = build_contract(
@@ -208,9 +207,7 @@ def check_all_or_nothing(trace: Trace, transactions: list) -> Verdict:
                  if event.data["outcome"] == "Committed"]
     committed.sort(key=lambda pair: pair[0])
 
-    world = build_replay_world(
-        trace, extra_chains={a.chain for t in transactions
-                             for a in t.actions})
+    world = build_replay_world(trace)
     violations = []
     for index, txn in committed:
         report = ideal_execute(txn, world)
@@ -224,16 +221,20 @@ def check_all_or_nothing(trace: Trace, transactions: list) -> Verdict:
     # A transaction's scope is its action targets.  The final vars are
     # keyed by (chain, local) tuples, which an Address equals.
     final = trace.final_vars()
+    outcome_ids = sorted(i for i, _ in outcomes.values())
     for addr in sorted({a.target for t in transactions for a in t.actions}):
-        expected = world.chains[addr.chain].contract(addr).vars
-        observed = final.get(addr)
-        if observed != expected:
-            outcome_ids = [i for i, _ in outcomes.values()]
-            violations.append(Violation(
-                ALL_OR_NOTHING, sorted(outcome_ids),
-                "scoped contract %s ended at %s, reference says %s"
-                % (addr.canon(), canon(sorted((observed or {}).items())),
-                   canon(sorted(expected.items())))))
+        contract, observed = world.contract(addr), final.get(addr)
+        if contract is None:
+            note = "has no initial snapshot in the trace"
+        elif observed != contract.vars:
+            note = "ended at %s, reference says %s" % (
+                canon(sorted((observed or {}).items())),
+                canon(sorted(contract.vars.items())))
+        else:
+            continue
+        violations.append(Violation(ALL_OR_NOTHING, outcome_ids,
+                                    "scoped contract %s %s"
+                                    % (addr.canon(), note)))
     return Verdict.from_violations(violations)
 
 
@@ -325,21 +326,17 @@ def _extract_mutating(trace: Trace, transactions: list) -> tuple:
     return events, windows
 
 
-def _replay_one(world: World, ev: _MutEvent) -> bool:
-    """Replay one event through the chain's own lock discipline, then
-    empty the open block and the trace it wrote, so replay memory does not
-    grow with the search."""
-    chain = world.chains[ev.chain]
+def _replay_one(contract, ev: _MutEvent) -> bool:
+    """Step the event's target; False if refused or failed."""
     if ev.kind == "lock":
-        outcome = chain.lock(ev.caller, ev.target)
-    elif ev.kind == "unlock":
-        outcome = chain.unlock(ev.caller, ev.target, ev.failure)
-    else:
-        outcome = chain.invoke(ev.caller, ev.target, ev.method,
-                               list(ev.params))
-    chain.pending = 0
-    world.trace.events.clear()
-    return outcome.ok
+        return contract.lock(ev.caller) is None
+    if ev.kind == "unlock":
+        return contract.unlock(ev.caller, ev.failure) is None
+    try:
+        contract.call(ev.caller, ev.method, ev.params)
+    except MethodFailure:
+        return False
+    return True
 
 
 def check_strict_serializability(trace: Trace, transactions: list,
@@ -429,9 +426,7 @@ def check_strict_serializability(trace: Trace, transactions: list,
                     mask |= bits
         need.append(mask)
 
-    world = build_replay_world(
-        trace, extra_chains={a.chain for t in transactions
-                             for a in t.actions})
+    world = build_replay_world(trace)
     # Keyed by (chain, local) tuples, which an Address equals.
     final = {key: tuple(sorted(vars_.items()))
              for key, vars_ in trace.final_vars().items()}
@@ -450,7 +445,7 @@ def check_strict_serializability(trace: Trace, transactions: list,
 
     start = tuple(intern(entry) for entry in world.state())
     slot = {table[n][0]: p for p, n in enumerate(start)}
-    contracts = [world.chains[addr.chain].contracts[addr] for addr in slot]
+    contracts = [world.contract(addr) for addr in slot]
     where = [slot.get(ev.target) for ev in events]
     # Each slot's events and final vars: a slot is final once its last
     # event is placed, and one left untouched must already be.
@@ -492,10 +487,11 @@ def check_strict_serializability(trace: Trace, transactions: list,
                     world.restore(
                         [table[n] for n, m in zip(state, at) if n != m])
                     at = state
-                # A refused or failed step leaves the world where it was;
-                # otherwise only the target's entry can have changed.
+                # A missing target, a refused or a failed step leaves
+                # the world where it was; else only the target changed.
                 after = steps[step] = intern(contract_entry(contracts[p])) \
-                    if _replay_one(world, ev) else None
+                    if p is not None and _replay_one(contracts[p], ev) \
+                    else None
             if after is None:
                 continue
             child = state[:p] + (after,) + state[p + 1:]

@@ -174,9 +174,9 @@ def test_transfer_writes_exactly_its_target(world):
 def test_failed_body_restores_its_target_and_records_no_writes(world):
     chain = chain_of(world)
 
-    def spend_then_fail(ctx):
-        ctx.vars["bal:alice"] = 0
-        ctx.vars["bal:mallory"] = 10
+    def spend_then_fail(vars_, params):
+        vars_["bal:alice"] = 0
+        vars_["bal:mallory"] = 10
         raise MethodFailure("Changed")
 
     token = chain.contract(TOKEN)

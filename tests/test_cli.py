@@ -356,6 +356,33 @@ def test_scenario_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):
     assert done.stdout.count(b"pass=b1") == 3
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", [
+    ["run"], ["check"], ["metrics"], ["sweep", "--seeds", "2"]],
+    ids=["run", "check", "metrics", "sweep"])
+def test_unwritable_stdout_exits_2_with_one_error_line(command, unbuffered):
+    # Unbuffered, the first write fails inside the command; buffered, the
+    # flush in main does, and the interpreter's own flush at exit must
+    # not fail again and exit 120.
+    src = str(Path(xchainsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "xchainsim.cli", *command,
+             "--scenario", "swap"], env=env, stdout=full,
+            stderr=subprocess.PIPE, timeout=60)
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "error: cannot write output: No space left on device"]
+
+
 @pytest.mark.parametrize("entry,message", [
     ("{tick: 1, op: drop, src: a, dst: c, index: 0}",
      "adversary drop at tick 1: unknown bridge a>c#0"),

@@ -155,6 +155,31 @@ def test_ideal_execute_failure_restores_scoped_state(swap_world):
     assert swap_world.state() == before
 
 
+def test_ideal_execute_records_nothing(swap_world):
+    # the reference execution steps contracts, not chains: no event in
+    # the trace and no record in an open block for a later seal to count
+    for txn in (swap_txn(), swap_txn(amount_back=99)):
+        ideal_execute(txn, swap_world)
+        assert swap_world.trace.events == []
+        assert not any(c.pending for c in swap_world.chains.values())
+        assert not swap_world.open_chains
+
+
+def test_ideal_execute_missing_target_fails_and_restores(swap_world):
+    # action 1 names a chain the world lacks: an unknown target, and
+    # action 0's transfer rolls back
+    txn = swap_txn()
+    txn = CrossChainTransaction(txn.txid, txn.actions + [
+        IndexedAction(2, "c3", Address("c3", "tok"), "transfer",
+                      (b"bob", b"alice", 1))], {(0, 2)}, txn.originator,
+        txn.proposer_chain)
+    before = swap_world.state()
+    report = ideal_execute(txn, swap_world)
+    assert (report.ok, report.failed_action, report.failure_reason) == \
+        (False, 2, "UnknownTarget")
+    assert swap_world.state() == before
+
+
 def test_ideal_execute_empty_transaction_is_success(swap_world):
     txn = CrossChainTransaction("empty", [], set(),
                                 Address("c1", "origin"), "c1")

@@ -163,6 +163,20 @@ def test_all_or_nothing_fails_on_half_applied_fixture():
                for v in verdict.violations)
 
 
+def test_all_or_nothing_names_a_scoped_contract_missing_from_initial():
+    # a trace whose initial snapshot lacks a scoped contract gets a
+    # verdict from every checker, not an exception
+    _, trace, txns = run_bundled("swap", seed=0)
+    trace.initial = [s for s in trace.initial
+                     if (s.chain, s.local) != ("fantom", "token")]
+    assert not check_strict_serializability(trace, txns).passed
+    verdict = check_all_or_nothing(trace, txns)
+    assert not verdict.passed
+    assert any(v.prop == ALL_OR_NOTHING and v.explanation ==
+               "scoped contract fantom/token has no initial snapshot in "
+               "the trace" for v in verdict.violations)
+
+
 def test_all_or_nothing_requires_outcome():
     _, trace, txns = run_bundled("adversary-drop", seed=5)
     with pytest.raises(MissingOutcomeError):
@@ -455,11 +469,6 @@ def broken_rule(blocks, pairs, order):
     return None
 
 
-def replay_world(trace, txns):
-    return verify.build_replay_world(
-        trace, extra_chains={a.chain for t in txns for a in t.actions})
-
-
 def replay_event(world, e) -> bool:
     """Replay one trace event through its chain; False if refused or
     failed."""
@@ -483,7 +492,7 @@ def replay_order(trace, txns, order):
     """Replay `order` through the chains of a world rebuilt from the
     initial snapshot: the final vars it reaches, or the index of the
     first event the chain refuses or fails."""
-    world = replay_world(trace, txns)
+    world = verify.build_replay_world(trace)
     for index in order:
         if not replay_event(world, trace.events[index]):
             return index
@@ -706,7 +715,7 @@ def exhaustive_serializable(trace, txns) -> bool:
     earlier = {i: set() for i in mutating}
     for a, b, _ in pairs:
         earlier[b].add(a)
-    world = replay_world(trace, txns)
+    world = verify.build_replay_world(trace)
     final = trace.final_vars()
     seen = set()
 
