@@ -31,7 +31,7 @@ events carry whatever tick its trace holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Callable, Optional, Sequence
 
 from .trace import INVOKE, LOCK, UNLOCK, SEAL, Trace, memoized
@@ -80,13 +80,6 @@ class Address(tuple):
     def _text(self) -> str:
         return "%s/%s" % self
 
-    @staticmethod
-    def parse(text: str) -> "Address":
-        chain, _, local = text.partition("/")
-        if not chain or not local:
-            raise ScenarioError("bad address %r" % text)
-        return Address(chain, local)
-
 
 @dataclass
 class Contract:
@@ -95,7 +88,7 @@ class Contract:
     owner: Address
     kind: str
     locked_by: Optional[Address] = None
-    checkpoint: Optional[dict] = None
+    checkpoint: Optional[tuple] = None   # vars_key of the vars at lock
     trusted_executors: set = field(default_factory=set)
     methods: dict = field(default_factory=dict)  # name -> body
 
@@ -111,14 +104,14 @@ class Contract:
         if caller not in self.trusted_executors:
             return "NotTrusted"
         self.locked_by = caller
-        self.checkpoint = dict(self.vars)
+        self.checkpoint = vars_key(self.vars)
         return None
 
     def unlock(self, caller: Address, failure: bool) -> Optional[str]:
         if not self.locked or caller != self.locked_by:
             return "NotLockOwner"
         if failure:
-            self.vars = dict(self.checkpoint)
+            self.vars = dict(self.checkpoint[0])
         self.locked_by = None
         self.checkpoint = None
         return None
@@ -137,17 +130,34 @@ class Contract:
         except MethodFailure:
             self.vars = pre
             raise
-        return result, self.vars != pre
+        return result, not same_vars(self.vars, pre)
+
+
+def same_vars(a: dict, b: dict) -> bool:
+    """Whether `a` and `b` hold the same keys, values and value types:
+    True == 1, yet a write of the one over the other is a write."""
+    return a == b and all(map(is_, map(type, a.values()),
+                              map(type, map(b.__getitem__, a))))
+
+
+def vars_key(vars_: dict) -> tuple:
+    """`vars_` as one hashable value, equal for two dicts exactly when
+    same_vars holds: (its sorted items,), and where a value is a bool
+    (items, their values' types).  Without a bool, == on the values is
+    exact already, and the search builds one key per memo miss, so the
+    types are left out.  dict(key[0]) rebuilds the dict."""
+    items = tuple(sorted(vars_.items()))
+    if bool in map(type, vars_.values()):
+        return items, tuple(type(value) for _, value in items)
+    return items,
 
 
 def contract_entry(contract: Contract) -> tuple:
-    """One contract's part of World.state(): its address, sorted
-    variables, lock owner and checkpoint (None when unlocked, kept apart
-    from an empty checkpoint)."""
-    checkpoint = contract.checkpoint
-    return (contract.addr, tuple(sorted(contract.vars.items())),
-            contract.locked_by,
-            None if checkpoint is None else tuple(sorted(checkpoint.items())))
+    """One contract's part of World.state(): its address, vars_key of
+    its variables, lock owner and checkpoint (None when unlocked, kept
+    apart from an empty checkpoint)."""
+    return (contract.addr, vars_key(contract.vars), contract.locked_by,
+            contract.checkpoint)
 
 
 @dataclass

@@ -25,6 +25,7 @@ import sys
 
 from .chain import ScenarioError
 from .scenario import build_world, load_scenario
+from .trace import INVOKE
 from .verify import (BudgetExceededError, MissingOutcomeError, Verdict,
                      Violation, check_all_or_nothing, check_secure_transfer,
                      check_strict_serializability, extract_metrics)
@@ -106,16 +107,25 @@ def _write_trace(trace, out_path) -> None:
 
 
 def _outcome_summary(world) -> list:
+    """One line per declared transaction: each proposer machine's, in
+    the order the machines started, then each transaction that has no
+    machine, with the refusal its propose invoke records, if any."""
     lines = []
     for machine in world.machines:
-        if machine.outcome == "Aborted":
-            lines.append("%s: Aborted(%s)" % (machine.txn.txid,
-                                              machine.reason))
-        elif machine.outcome is None:
-            lines.append("%s: unfinished (phase=%s)" % (machine.txn.txid,
-                                                        machine.phase))
-        else:
-            lines.append("%s: %s" % (machine.txn.txid, machine.outcome))
+        outcome = machine.outcome
+        if outcome == "Aborted":
+            outcome = "Aborted(%s)" % machine.reason
+        elif outcome is None:
+            outcome = "unfinished (phase=%s)" % machine.phase
+        lines.append("%s: %s" % (machine.txn.txid, outcome))
+    started = {machine.txn.txid for machine in world.machines}
+    missing = [txid for _, txid in world.tx_schedule if txid not in started]
+    if missing:   # only the run loop's propose invoke carries a txid
+        err_of = {e.data["txid"]: e.data.get("err")
+                  for e in world.trace.events if e.kind == INVOKE
+                  and e.data["method"] == "propose" and "txid" in e.data}
+        lines += ["%s: refused (%s)" % (txid, err_of[txid]) if txid in err_of
+                  else "%s: not proposed" % txid for txid in missing]
     return lines
 
 
@@ -131,8 +141,7 @@ def cmd_run(args) -> int:
 
 
 def _run_checks(args, world, trace):
-    transactions = [world.transactions[txid]
-                    for _, txid in world.tx_schedule]
+    transactions = list(world.transactions.values())   # declared order
     verdicts = [("secure-transfer", check_secure_transfer(trace))]
     try:
         verdicts.append(("all-or-nothing",

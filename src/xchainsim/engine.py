@@ -164,9 +164,9 @@ class World:
         if txn.txid in self.transactions:
             raise ScenarioError("duplicate transaction id %s" % txn.txid)
         validate_transaction(txn, self)
-        if txn.proposer_chain not in self.chains:
+        if txn.originator.chain not in self.chains:
             raise ScenarioError("%s: unknown proposer chain %s"
-                                % (txn.txid, txn.proposer_chain))
+                                % (txn.txid, txn.originator.chain))
         self.transactions[txn.txid] = txn
         self.tx_schedule.append((tick, txn.txid))
 
@@ -232,16 +232,12 @@ class World:
     # Run loop -----------------------------------------------------------
 
     def snapshot(self) -> list:
-        out = []
-        for addr, vars_, _, _ in self.state():
-            contract = self.contract(addr)
-            out.append(ContractSnapshot(
-                chain=addr.chain, local=addr.local, kind=contract.kind,
-                owner=contract.owner.canon(),
-                trusted=tuple(sorted(a.canon()
-                                     for a in contract.trusted_executors)),
-                vars=dict(vars_)))
-        return out
+        return [ContractSnapshot(
+                    chain=addr.chain, local=addr.local, kind=c.kind,
+                    owner=c.owner, trusted=tuple(sorted(c.trusted_executors)),
+                    vars=dict(sorted(c.vars.items())))
+                for chain_id in sorted(self.chains)
+                for addr, c in sorted(self.chains[chain_id].contracts.items())]
 
     def run(self, stop: Optional[StopCondition] = None) -> Trace:
         stop = stop or StopCondition()
@@ -285,7 +281,7 @@ class World:
 
             for txid in schedule_by_tick.get(tick, ()):
                 txn = self.transactions[txid]
-                chain = self.chains[txn.proposer_chain]
+                chain = self.chains[txn.originator.chain]
                 chain.invoke(txn.originator, chain.executor_addr,
                              "propose", [txid.encode()], txid=txid)
                 self._drain_kicks()
@@ -409,10 +405,9 @@ class World:
         iterable of entries for the contracts that differ."""
         for addr, vars_, locked_by, checkpoint in state:
             contract = self.contract(addr)
-            contract.vars = dict(vars_)
+            contract.vars = dict(vars_[0])
             contract.locked_by = locked_by
-            contract.checkpoint = None if checkpoint is None \
-                else dict(checkpoint)
+            contract.checkpoint = checkpoint
 
 
 def adapter_local(remote_chain: str, tag: int) -> str:

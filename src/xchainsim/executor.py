@@ -53,18 +53,19 @@ def encode_address(addr: Address) -> bytes:
 
 
 def decode_address(value) -> Address:
-    if not isinstance(value, bytes):
+    chain, _, local = decode_text(value).partition("/")
+    if not chain or not local:
         raise MethodFailure("BadRequest")
-    try:
-        return Address.parse(value.decode("utf-8"))
-    except Exception:
-        raise MethodFailure("BadRequest") from None
+    return Address(chain, local)
 
 
 def decode_text(value) -> str:
     if not isinstance(value, bytes):
         raise MethodFailure("BadRequest")
-    return value.decode("utf-8")
+    try:
+        return value.decode("utf-8")
+    except UnicodeDecodeError:
+        raise MethodFailure("BadRequest") from None
 
 
 class ExecutorContract:
@@ -106,7 +107,7 @@ class ExecutorContract:
             raise MethodFailure("BadRequest")
         txid = decode_text(params[0])
         txn = self.world.transactions.get(txid)
-        if txn is None or txn.proposer_chain != self.chain.id:
+        if txn is None or txn.originator.chain != self.chain.id:
             raise MethodFailure("UnknownTransaction")
         if caller != txn.originator:
             raise MethodFailure("NotOriginator")

@@ -9,11 +9,13 @@ which the CLI reports with exit code 2.  A field left out takes its
 default; a null is a wrong type like any other.  A key that its
 mapping's reader does not read is rejected at its location too; which
 keys an injection or a payload has depends on its op or type.
+Each transaction is built, and its action order and ids checked, once
+as the file is read; every world built from the scenario shares it.
 `build_world` turns the result plus a seed into a runnable World, and
-rejects an adversary entry that names a missing chain or bridge, or a
-bridge that is not adversarial.  A bare name that is no file names a
-bundled scenario, looked up under the package's ``scenarios/``
-directory.
+rejects what needs a world: a missing contract or method, an adversary
+entry naming a missing chain or bridge, or a bridge that is not
+adversarial.  A bare name that is no file names a bundled scenario,
+looked up under the package's ``scenarios/`` directory.
 
 A file is read as UTF-8 whatever the locale; one that cannot be read or
 decoded raises ValidationError naming its path.
@@ -62,7 +64,7 @@ class ContractSpec:
     local: str
     kind: str
     owner: str
-    init: dict
+    init: dict              # its vars: a token's {account: n} as bal: keys
     trusted: Optional[list]
 
 
@@ -85,23 +87,13 @@ class BridgeSpec:
 
 
 @dataclass
-class TransactionSpec:
-    txid: str
-    proposer: str
-    originator: str
-    tick: int
-    actions: list           # of dicts
-    prec: list              # of (before, after)
-
-
-@dataclass
 class Scenario:
     name: str
     lock_order: str
     stop: StopCondition
     chains: list = field(default_factory=list)
     bridges: list = field(default_factory=list)
-    transactions: list = field(default_factory=list)
+    transactions: list = field(default_factory=list)  # of (tick, txn)
     adversary: list = field(default_factory=list)   # of Injection
 
 
@@ -335,12 +327,14 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
         actions = [_parse_action(a_raw, awhere, j, chain_ids)
                    for j, (awhere, a_raw)
                    in enumerate(_list(t_raw, "actions", where, _mapping))]
-        scenario.transactions.append(TransactionSpec(
-            txid=_name(t_raw, "txid", where),
-            proposer=_choice(t_raw, "proposer", where, chain_ids),
-            originator=_name(t_raw, "originator", where, "origin"),
-            tick=_int(t_raw, "tick", where, 0), actions=actions,
-            prec=_list(t_raw, "prec", where, _pair)))
+        txid = _name(t_raw, "txid", where)
+        originator = Address(_choice(t_raw, "proposer", where, chain_ids),
+                             _name(t_raw, "originator", where, "origin"))
+        tick = _int(t_raw, "tick", where, 0)
+        # raises ScenarioError on a bad action order or duplicate ids
+        scenario.transactions.append((tick, CrossChainTransaction(
+            txid, actions, set(_list(t_raw, "prec", where, _pair)),
+            originator)))
 
     scenario.adversary = [_parse_injection(inj_raw, where) for where, inj_raw
                           in _list(raw, "adversary", name, _mapping)]
@@ -348,13 +342,14 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
 
 
 def _parse_action(raw: dict, where: str, default_id: int,
-                  chain_ids: set) -> dict:
+                  chain_ids: set) -> IndexedAction:
     _known(raw, where, ("id", "chain", "target", "method", "params"))
-    return {"id": _int(raw, "id", where, default_id),
-            "chain": _choice(raw, "chain", where, chain_ids),
-            "target": _name(raw, "target", where),
-            "method": _name(raw, "method", where),
-            "params": _values(raw, "params", where)}
+    action_id = _int(raw, "id", where, default_id)
+    chain = _choice(raw, "chain", where, chain_ids)
+    return IndexedAction(action_id, chain,
+                         Address(chain, _name(raw, "target", where)),
+                         _name(raw, "method", where),
+                         tuple(_values(raw, "params", where)))
 
 
 def _parse_contract(raw: dict, where: str) -> ContractSpec:
@@ -362,11 +357,12 @@ def _parse_contract(raw: dict, where: str) -> ContractSpec:
     kind = _choice(raw, "kind", where, library_kinds(), "token")
     init_at, init = _mapping(raw, "init", where, {})
     read = _int if kind == "token" else _value   # a balance is an int
+    init_vars = {key: read(init, key, init_at)   # each key is a name
+                 for key in _list({"init": list(init)}, "init", where, _name)}
     return ContractSpec(
         local=_name(raw, "local", where), kind=kind,
         owner=_name(raw, "owner", where, "owner"),
-        init={key: read(init, key, init_at)   # each key is a name
-              for key in _list({"init": list(init)}, "init", where, _name)},
+        init=token_init(init_vars) if kind == "token" else init_vars,
         trusted=_list(raw, "trusted", where, _name) if "trusted" in raw
         else None)
 
@@ -380,22 +376,13 @@ def build_world(scenario: Scenario, seed: int = 0,
         world.add_chain(chain_spec.chain_id, chain_spec.executor,
                         seal_every=chain_spec.seal_every)
         for c in chain_spec.contracts:
-            init = token_init(c.init) if c.kind == "token" else c.init
             world.add_contract(chain_spec.chain_id, c.local, c.kind,
-                               owner=c.owner, init=init, trusted=c.trusted)
+                               owner=c.owner, init=c.init, trusted=c.trusted)
     for b in scenario.bridges:
         world.add_bridge(b.src, b.dst, max_delay=b.max_delay,
                          reorder=b.reorder, mode=b.mode, tag=b.tag)
-    for t in scenario.transactions:
-        actions = [IndexedAction(action_id=a["id"], chain=a["chain"],
-                                 target=Address(a["chain"], a["target"]),
-                                 method=a["method"], params=tuple(a["params"]))
-                   for a in t.actions]
-        txn = CrossChainTransaction(
-            txid=t.txid, actions=actions, prec=set(t.prec),
-            originator=Address(t.proposer, t.originator),
-            proposer_chain=t.proposer)
-        world.add_transaction(txn, tick=t.tick)
+    for tick, txn in scenario.transactions:
+        world.add_transaction(txn, tick=tick)
     for injection in scenario.adversary:
         world.add_injection(injection)
     return world

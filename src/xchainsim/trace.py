@@ -186,17 +186,17 @@ class ContractSnapshot:
     chain: str
     local: str
     kind: str
-    owner: str
-    trusted: tuple
+    owner: Any              # an Address
+    trusted: tuple          # of Addresses on `chain`, sorted
     vars: dict
 
     def render(self, moment: str) -> str:
         body = ",".join("%s:%s" % (k, canon(v))
                         for k, v in sorted(self.vars.items()))
         return ("snapshot moment=%s chain=%s contract=%s kind=%s owner=%s "
-                "trusted=[%s] vars={%s}"
-                % (moment, self.chain, self.local, self.kind, self.owner,
-                   ",".join(self.trusted), body))
+                "trusted=%s vars={%s}"
+                % (moment, self.chain, self.local, self.kind,
+                   canon(self.owner), canon(self.trusted), body))
 
 
 @dataclass

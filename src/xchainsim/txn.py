@@ -36,8 +36,7 @@ class CrossChainTransaction:
     txid: str
     actions: list            # of IndexedAction
     prec: set                # of (before_id, after_id)
-    originator: Address
-    proposer_chain: str
+    originator: Address      # proposed on originator.chain
     # layer_partition's layers, each a tuple of IndexedActions
     layers: tuple = field(init=False, repr=False, compare=False)
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .chain import (Address, Chain, MethodFailure, ScenarioError,
-                    contract_entry)
+                    contract_entry, same_vars, vars_key)
 from .engine import World
 from .methods import build_contract
 from .trace import (INVOKE, LOCK, OUTCOME, RECV, SEND, UNLOCK, Trace, canon)
@@ -169,9 +169,8 @@ def build_replay_world(trace: Trace) -> World:
     for snap in trace.initial:
         try:
             contract = build_contract(
-                Address(snap.chain, snap.local), snap.kind,
-                Address.parse(snap.owner), snap.vars,
-                map(Address.parse, snap.trusted))
+                Address(snap.chain, snap.local), snap.kind, snap.owner,
+                snap.vars, snap.trusted)
         except KeyError:
             raise ScenarioError(
                 "cannot replay contract kind %r (%s/%s); checkers support "
@@ -226,7 +225,7 @@ def check_all_or_nothing(trace: Trace, transactions: list) -> Verdict:
         contract, observed = world.contract(addr), final.get(addr)
         if contract is None:
             note = "has no initial snapshot in the trace"
-        elif observed != contract.vars:
+        elif observed is None or not same_vars(observed, contract.vars):
             note = "ended at %s, reference says %s" % (
                 canon(sorted((observed or {}).items())),
                 canon(sorted(contract.vars.items())))
@@ -428,8 +427,7 @@ def check_strict_serializability(trace: Trace, transactions: list,
 
     world = build_replay_world(trace)
     # Keyed by (chain, local) tuples, which an Address equals.
-    final = {key: tuple(sorted(vars_.items()))
-             for key, vars_ in trace.final_vars().items()}
+    final = {key: vars_key(v) for key, v in trace.final_vars().items()}
 
     # A state is one entry number per contract, in World.state() order;
     # equal entries share a number, so states compare and hash as ints.

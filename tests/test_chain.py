@@ -6,7 +6,7 @@ import random
 import pytest
 
 from xchainsim import Address, MethodFailure, Trace, World
-from xchainsim.chain import Chain
+from xchainsim.chain import Chain, same_vars, vars_key
 from xchainsim.methods import build_contract
 from xchainsim.trace import INVOKE, SEAL
 
@@ -70,7 +70,7 @@ def test_lock_saves_checkpoint_and_requires_trust(world):
     executor = chain.executor_addr
     pre = dict(chain.contract(TOKEN).vars)
     assert chain.lock(executor, TOKEN).ok
-    assert chain.contract(TOKEN).checkpoint == pre
+    assert chain.contract(TOKEN).checkpoint == vars_key(pre)
     assert chain.contract(TOKEN).locked_by == executor
     # double lock, even by the owner of the lock, is refused
     assert chain.lock(executor, TOKEN).reason == "AlreadyLocked"
@@ -163,6 +163,31 @@ def test_setting_a_counter_to_its_value_lists_no_writes(world):
     assert world.state() == before
 
 
+@pytest.mark.parametrize("start", [True, False])
+def test_a_call_that_changes_only_a_value_type_writes(world, start):
+    # True == 1 and False == 0, yet incr refuses a bool: setting the int
+    # is a write, and World.state() tells the two states apart
+    world.add_contract("one", "counter", "counter", init={"count": start})
+    counter = chain_of(world).contract(Address("one", "counter"))
+    before = world.state()
+    assert counter.call(ALICE, "set", [int(start)]) == (int(start), True)
+    assert type(counter.vars["count"]) is int
+    assert world.state() != before
+    assert counter.call(ALICE, "incr", [1]) == (int(start) + 1, True)
+
+
+def test_same_vars_and_vars_key_compare_types():
+    assert same_vars({"a": 1, "b": b"x"}, {"b": b"x", "a": 1})
+    assert vars_key({"a": 1, "b": b"x"}) == vars_key({"b": b"x", "a": 1})
+    for a, b in (({"a": True}, {"a": 1}), ({"a": 0}, {"a": False}),
+                 ({"a": 1}, {"a": 1, "b": 1})):
+        assert not same_vars(a, b) and not same_vars(b, a)
+        assert vars_key(a) != vars_key(b)
+    assert vars_key({"b": True, "a": 1}) == \
+        ((("a", 1), ("b", True)), (int, bool))
+    assert vars_key({"a": 1}) == ((("a", 1),),)   # no bool, no types
+
+
 def test_transfer_writes_exactly_its_target(world):
     chain = chain_of(world)
     assert chain.invoke(ALICE, TOKEN, "transfer", [b"alice", b"bob", 2]).ok
@@ -198,7 +223,9 @@ def test_aborting_unlock_drops_a_holder_added_under_the_lock(world):
     chain = chain_of(world)
     executor = chain.executor_addr
     start = {"bal:alice": 10, "bal:bob": 0, "bal:eve": 0}
-    start_entry = tuple(sorted(start.items()))
+    # an entry's vars: the sorted items, and no types, as no value is
+    # a bool
+    start_entry = (tuple(sorted(start.items())),)
     assert chain.lock(executor, TOKEN).ok
     assert world.state() == ((TOKEN, start_entry, executor, start_entry),)
     assert chain.invoke(executor, TOKEN, "transfer",
@@ -206,8 +233,8 @@ def test_aborting_unlock_drops_a_holder_added_under_the_lock(world):
     assert last_invoke(world).data["writes"] == [TOKEN]
     assert chain.contract(TOKEN).vars == {
         "bal:alice": 6, "bal:bob": 0, "bal:eve": 0, "bal:carol": 4}
-    assert world.state() == ((TOKEN, (("bal:alice", 6), ("bal:bob", 0),
-                                      ("bal:carol", 4), ("bal:eve", 0)),
+    assert world.state() == ((TOKEN, ((("bal:alice", 6), ("bal:bob", 0),
+                                       ("bal:carol", 4), ("bal:eve", 0)),),
                               executor, start_entry),)
     assert chain.unlock(executor, TOKEN, failure=True).ok
     assert chain.contract(TOKEN).vars == start
@@ -275,7 +302,8 @@ def _stress_once(seed: int) -> None:
         if shadow_locked_by is None:
             assert chain.contract(token).checkpoint is None
         else:
-            assert chain.contract(token).checkpoint == shadow_checkpoint
+            assert chain.contract(token).checkpoint == \
+                vars_key(shadow_checkpoint)
 
 
 def test_lock_discipline_stress_10k_sequences():

@@ -188,6 +188,39 @@ def test_check_malformed_scenario_exits_2_at_its_location(
     assert captured.err == "error: %s\n" % message
 
 
+ORDERED_SCENARIO = """\
+chains: [{id: a, contracts: [{local: token, owner: alice, init: {alice: 5}}]}]
+transactions:
+  - txid: t
+    proposer: a
+    actions:
+      - {id: 0, chain: a, target: token, method: mint, params: [alice, 1]}
+      - {id: %(second)s, chain: a, target: token, method: mint,
+         params: [bob, 1]}
+    prec: %(prec)s
+"""
+
+
+@pytest.mark.parametrize("second,prec,message", [
+    ("1", "[[0, 1], [1, 0]]", "t: precedence is cyclic ([0, 1, 0])"),
+    ("1", "[[1, 1]]", "t: action 1 precedes itself"),
+    ("1", "[[0, 7]]", "t: precedence pair (0,7) references an unknown "
+     "action"),
+    ("0", "[]", "duplicate action ids in t"),
+], ids=["cycle", "self", "unknown-action", "duplicate-id"])
+def test_bad_action_order_is_refused_when_the_file_is_read(
+        second, prec, message, tmp_path, capsys):
+    path = tmp_path / "order.yaml"
+    path.write_text(ORDERED_SCENARIO % {"second": second, "prec": prec})
+    with pytest.raises(ScenarioError) as raised:
+        xchainsim.load_scenario(str(path))
+    assert str(raised.value) == message
+    assert main(["check", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 @pytest.mark.parametrize("command", ["run", "check", "sweep"])
 def test_forge_with_no_route_back_exits_2_before_the_run(command, tmp_path,
                                                          capsys):
@@ -235,6 +268,57 @@ def test_metrics_three_exchange_proposer_row(capsys):
     assert main(["metrics", "--scenario", "three-exchange"]) == 0
     out = capsys.readouterr().out
     assert "fantom       proposer            6        4" in out
+
+
+BUSY_SCENARIO = """\
+stop: {max_ticks: %(max_ticks)d}
+chains:
+  - {id: a, contracts: [{local: token, init: {alice: 50, bob: 50}}]}
+  - {id: b, contracts: [{local: token, init: {alice: 50, bob: 50}}]}
+bridges: [{src: a, dst: b}, {src: b, dst: a}]
+transactions:
+  - {txid: t1, proposer: a, originator: alice, tick: 0, actions: [
+      {chain: a, target: token, method: transfer, params: [alice, bob, 1]},
+      {chain: b, target: token, method: transfer, params: [bob, alice, 1]}]}
+  - {txid: t2, proposer: a, originator: alice, tick: %(tick)d, actions: [
+      {chain: a, target: token, method: transfer, params: [alice, bob, 1]}]}
+"""
+
+
+@pytest.mark.parametrize("tick,max_ticks,lines", [
+    # t2 reaches a's executor while t1 runs there
+    (1, 400, ["t1: Committed", "t2: refused (ExecutorBusy)",
+              "quiesced=True end_tick=12"]),
+    # the run stops before t2's tick
+    (5, 2, ["t1: unfinished (phase=locking)", "t2: not proposed",
+            "quiesced=False end_tick=1"]),
+], ids=["refused", "not-proposed"])
+def test_run_prints_a_line_for_every_transaction(tick, max_ticks, lines,
+                                                 tmp_path, capsys):
+    path = tmp_path / "busy.yaml"
+    path.write_text(BUSY_SCENARIO % {"tick": tick, "max_ticks": max_ticks})
+    assert main(["run", "--scenario", str(path), "--out",
+                 str(tmp_path / "t.trace")]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+    main(["check", "--scenario", str(path)])
+    assert capsys.readouterr().out.splitlines()[-2:] == lines[:2]
+
+
+def test_check_passes_a_write_that_changes_only_a_type(tmp_path, capsys):
+    # count goes from True to 1, which == calls no change; the replay
+    # must still start incr from 1, not from True
+    path = tmp_path / "retype.yaml"
+    path.write_text("""\
+chains:
+  - {id: a, contracts: [{local: side, kind: counter, init: {count: true}}]}
+adversary:
+  - {tick: 1, op: invoke, chain: a, caller: eve, target: side, method: set,
+     params: [1]}
+  - {tick: 2, op: invoke, chain: a, caller: eve, target: side, method: incr,
+     params: [1]}
+""")
+    assert main(["check", "--scenario", str(path)]) == 0
+    assert capsys.readouterr().out.count(" pass=b1") == 3
 
 
 def test_sweep_reports_stability(capsys):

@@ -413,7 +413,19 @@ def test_unknown_contract_in_transaction_rejected():
         build_world(scenario)
 
 
-def test_cyclic_precedence_rejected_at_build():
+def test_worlds_built_from_one_scenario_share_its_transactions():
+    # a transaction is built and layered once, when the file is read, so
+    # every seed of a sweep runs the very same object
+    scenario = load_scenario("three-exchange")
+    worlds = [build_world(scenario, seed=seed) for seed in range(3)]
+    assert scenario.transactions
+    for tick, txn in scenario.transactions:
+        for world in worlds:
+            assert world.transactions[txn.txid] is txn
+            assert (tick, txn.txid) in world.tx_schedule
+
+
+def test_cyclic_precedence_rejected_at_parse():
     raw = {
         "name": "bad",
         "chains": [{"id": "a", "contracts": [
@@ -427,9 +439,8 @@ def test_cyclic_precedence_rejected_at_build():
                                "method": "mint", "params": ["x", 1]}],
                           "prec": [[0, 1], [1, 0]]}],
     }
-    scenario = parse_scenario(raw)
-    with pytest.raises(ScenarioError):
-        build_world(scenario)
+    with pytest.raises(ScenarioError, match="t: precedence is cyclic"):
+        parse_scenario(raw)
 
 
 def test_missing_scenario_file_is_validation_error():

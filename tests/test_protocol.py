@@ -155,7 +155,7 @@ def test_sequential_transactions_share_one_executor():
                            (b"x", b"y", 1)),
              IndexedAction(1, "b", Address("b", "tok"), "transfer",
                            (b"x", b"y", 1))],
-            set(), Address("a", "user"), "a")
+            set(), Address("a", "user"))
         world.add_transaction(txn, tick=tick)
     world.run(StopCondition(quiesce=True, max_ticks=100))
     assert [m.outcome for m in world.machines] == [COMMITTED, COMMITTED]
@@ -167,8 +167,7 @@ def test_empty_transaction_commits_vacuously():
     world = World(seed=0)
     world.add_chain("a")
     world.add_contract("a", "tok", "token", owner="o", init={"bal:x": 3})
-    txn = CrossChainTransaction("empty", [], set(), Address("a", "user"),
-                                "a")
+    txn = CrossChainTransaction("empty", [], set(), Address("a", "user"))
     world.add_transaction(txn, tick=0)
     trace = world.run(StopCondition(quiesce=True, max_ticks=20))
     assert world.machines[0].outcome == COMMITTED
@@ -187,7 +186,7 @@ def test_local_failure_waits_for_the_remote_action_of_its_round(
                        (b"eve", b"bob", 1)),
          IndexedAction(1, "right", Address("right", "token"), "transfer",
                        (b"bob", b"alice", 7))],
-        set(), Address("left", "alice"), "left"))
+        set(), Address("left", "alice")))
     trace = world.run(StopCondition(quiesce=True, max_ticks=100))
     machine = world.machines[0]
     assert (machine.outcome, machine.reason) == (ABORTED, OP_FAILED)
@@ -219,7 +218,7 @@ def test_transaction_on_its_proposer_chain_commits_in_its_propose_tick():
         "local",
         [IndexedAction(0, "a", token, "transfer", (b"x", b"y", 3)),
          IndexedAction(1, "a", token, "transfer", (b"y", b"x", 1))],
-        {(0, 1)}, Address("a", "user"), "a"), tick=3)
+        {(0, 1)}, Address("a", "user")), tick=3)
     trace = world.run(StopCondition(quiesce=True, max_ticks=20))
     assert world.machines[0].outcome == COMMITTED
     [outcome] = [e for e in trace.events if e.kind == OUTCOME]
@@ -242,7 +241,7 @@ def test_propose_while_busy_is_executor_busy():
             "t%d" % i,
             [IndexedAction(0, "a", Address("a", "tok"), "mint", (b"x", 1)),
              IndexedAction(1, "b", Address("b", "tok"), "mint", (b"x", 1))],
-            set(), Address("a", "user"), "a")
+            set(), Address("a", "user"))
         world.add_transaction(txn, tick=0)  # both at tick 0: second is busy
     trace = world.run(StopCondition(quiesce=True, max_ticks=100))
     proposes = [e for e in trace.events

@@ -6,7 +6,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from xchainsim import ValidationError, bundled_scenarios, load_scenario
+from xchainsim import (ScenarioError, ValidationError, bundled_scenarios,
+                       load_scenario)
 from xchainsim import scenario as scenario_module
 from xchainsim.scenario import parse_scenario, read_yaml, \
     resolve_scenario_path
@@ -18,8 +19,8 @@ def parsed(raw, name):
     """parse_scenario's result by repr, or its error message."""
     try:
         return repr(parse_scenario(raw, default_name=name))
-    except ValidationError as err:
-        return "ValidationError: %s" % err
+    except ScenarioError as err:   # a ValidationError, or a bad order
+        return "%s: %s" % (type(err).__name__, err)
 
 
 def assert_loads_alike(text, loader=yaml.CSafeLoader, name="scenario"):

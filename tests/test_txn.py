@@ -16,7 +16,7 @@ def make_txn(n_actions, prec, chain="c"):
     actions = [IndexedAction(i, chain, Address(chain, "x%d" % i), "m", ())
                for i in range(n_actions)]
     return CrossChainTransaction("t", actions, set(prec),
-                                 Address(chain, "origin"), chain)
+                                 Address(chain, "origin"))
 
 
 def oracle_layer(action_id, prec):
@@ -108,7 +108,7 @@ def swap_txn(amount_back=4):
                           (b"alice", b"bob", 3)),
             IndexedAction(1, "c2", Address("c2", "tok"), "transfer",
                           (b"bob", b"alice", amount_back)),
-        ], set(), Address("c1", "origin"), "c1")
+        ], set(), Address("c1", "origin"))
 
 
 def test_scope_union_per_chain(swap_world):
@@ -125,7 +125,7 @@ def test_validation_rejects_same_layer_scope_overlap(swap_world):
                               (b"alice", b"bob", 1)),
                 IndexedAction(1, "c1", Address("c1", "tok"), "transfer",
                               (b"bob", b"alice", 1)),
-            ], prec, Address("c1", "origin"), "c1")
+            ], prec, Address("c1", "origin"))
     txn = txn_with(set())
     with pytest.raises(ScenarioError):
         validate_transaction(txn, swap_world)
@@ -171,8 +171,7 @@ def test_ideal_execute_missing_target_fails_and_restores(swap_world):
     txn = swap_txn()
     txn = CrossChainTransaction(txn.txid, txn.actions + [
         IndexedAction(2, "c3", Address("c3", "tok"), "transfer",
-                      (b"bob", b"alice", 1))], {(0, 2)}, txn.originator,
-        txn.proposer_chain)
+                      (b"bob", b"alice", 1))], {(0, 2)}, txn.originator)
     before = swap_world.state()
     report = ideal_execute(txn, swap_world)
     assert (report.ok, report.failed_action, report.failure_reason) == \
@@ -181,8 +180,7 @@ def test_ideal_execute_missing_target_fails_and_restores(swap_world):
 
 
 def test_ideal_execute_empty_transaction_is_success(swap_world):
-    txn = CrossChainTransaction("empty", [], set(),
-                                Address("c1", "origin"), "c1")
+    txn = CrossChainTransaction("empty", [], set(), Address("c1", "origin"))
     before = swap_world.state()
     report = ideal_execute(txn, swap_world)
     assert report.ok
@@ -208,7 +206,7 @@ def test_within_layer_order_insensitive_when_scopes_disjoint(swap_world):
         actions = [IndexedAction(i, a.chain, a.target, a.method, a.params)
                    for i, a in enumerate(actions)]
         txn = CrossChainTransaction("t", actions, set(),
-                                    Address("c1", "origin"), "c1")
+                                    Address("c1", "origin"))
         swap_world.restore(start)
         assert ideal_execute(txn, swap_world).ok
         finals.append(swap_world.state())

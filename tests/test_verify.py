@@ -1,6 +1,7 @@
 """Checker soundness: every checker passes its conforming runs and fails
 its hand-built violating fixtures with the right violation kind."""
 
+import dataclasses
 import random
 from itertools import permutations
 
@@ -367,13 +368,14 @@ def test_state_round_trip_keeps_lock_owner_and_empty_checkpoint():
     executor = chain.executor_addr
     unlocked = world.state()
     assert [entry[0] for entry in unlocked] == [reg, Address("a", "tok")]
-    assert unlocked[0] == (reg, (), None, None)
+    empty = ((),)                    # no items, so no bool
+    assert unlocked[0] == (reg, empty, None, None)
 
     assert chain.lock(executor, reg).ok
     locked = world.state()
-    assert locked[0] == (reg, (), executor, ())   # {} is not None
+    assert locked[0] == (reg, empty, executor, empty)   # {} is not None
     assert chain.invoke(executor, reg, "incr", [2]).ok
-    assert world.state()[0] == (reg, (("count", 2),), executor, ())
+    assert world.state()[0] == (reg, ((("count", 2),),), executor, empty)
     hash(world.state())
 
     world.restore(unlocked)
@@ -384,7 +386,7 @@ def test_state_round_trip_keeps_lock_owner_and_empty_checkpoint():
 
     world.restore(locked)
     assert contract.locked and contract.locked_by == executor
-    assert contract.checkpoint == {} and contract.vars == {}
+    assert contract.checkpoint == empty and contract.vars == {}
     assert world.state() == locked
     assert chain.invoke(executor, reg, "incr", [5]).ok
     assert chain.unlock(executor, reg, True).ok    # back to the {} checkpoint
@@ -611,7 +613,8 @@ def run_swap_prec(seed, prec):
     """swap.yaml with its two transfers, one per chain, ordered by `prec`:
     a transaction whose layers lie on different chains."""
     scenario = load_scenario("swap")
-    scenario.transactions[0].prec = prec
+    at, txn = scenario.transactions[0]
+    scenario.transactions[0] = (at, dataclasses.replace(txn, prec=set(prec)))
     world = build_world(scenario, seed=seed)
     trace = world.run(scenario.stop)
     assert world.machines[0].outcome == "Committed"
@@ -626,14 +629,16 @@ def run_forged_ack(seed, tick, chains):
     layers are mumbai transfers."""
     scenario = load_scenario("adversary-forge")
     scenario.bridges[0].max_delay = 6     # fantom -> mumbai, reordering
-    txn = scenario.transactions[0]
+    at, txn = scenario.transactions[0]
     if chains == "one":
-        bob, alice, _ = txn.actions[1]["params"]
-        txn.actions[0] = dict(txn.actions[1], id=0)
-        txn.actions[1] = dict(txn.actions[1], params=[alice, bob, 1])
-        txn.prec = [(0, 1)]
+        second = txn.actions[1]
+        bob, alice, _ = second.params
+        txn = dataclasses.replace(txn, prec={(0, 1)}, actions=[
+            dataclasses.replace(second, action_id=0),
+            dataclasses.replace(second, params=(alice, bob, 1))])
     else:
-        txn.prec = [(1, 0)]
+        txn = dataclasses.replace(txn, prec={(1, 0)})
+    scenario.transactions[0] = (at, txn)
     world = build_world(scenario, seed=seed)
     world.injections.clear()
     world.add_injection(Injection(
@@ -766,6 +771,55 @@ def set_final_vars(trace, chain, local, vars_):
                                               snap.trusted, vars_)
             return
     raise AssertionError("no contract %s/%s" % (chain, local))
+
+
+def counter_scenario(init, adversary=(), transactions=()):
+    """One chain `a` holding the counter `side` at `init`."""
+    return parse_scenario({
+        "name": "counter", "chains": [{"id": "a", "contracts": [
+            {"local": "side", "kind": "counter", "init": init}]}],
+        "transactions": list(transactions), "adversary": list(adversary)})
+
+
+def test_a_write_that_changes_only_a_type_is_recorded_and_replayed():
+    # count goes from True to 1: equal by ==, but incr refuses the one
+    # and counts from the other, so the replay must start from 1
+    scenario = counter_scenario({"count": True}, adversary=[
+        {"tick": tick, "op": "invoke", "chain": "a", "caller": "eve",
+         "target": "side", "method": method, "params": [1]}
+        for tick, method in ((1, "set"), (2, "incr"))])
+    world = build_world(scenario)
+    trace = world.run(scenario.stop)
+    set_, incr = [e for e in trace.events if e.kind == INVOKE]
+    assert (set_.tick, set_.data["writes"]) == (1, [Address("a", "side")])
+    assert incr.data["ok"] and trace.final_vars()[("a", "side")] == \
+        {"count": 2}
+    assert check_secure_transfer(trace).passed
+    assert check_all_or_nothing(trace, []).passed
+    verdict = check_strict_serializability(trace, [])
+    assert verdict.passed
+    assert verdict.witness == [trace.events.index(set_),
+                               trace.events.index(incr)]
+
+
+def test_a_final_value_of_another_type_fails_both_state_checkers():
+    # the transaction sets count to 1; a final True equals 1 by ==, yet
+    # neither the reference execution nor any order ends there
+    scenario = counter_scenario({"count": 0}, transactions=[
+        {"txid": "t", "proposer": "a", "actions": [
+            {"chain": "a", "target": "side", "method": "set",
+             "params": [1]}]}])
+    world = build_world(scenario)
+    trace = world.run(scenario.stop)
+    txns = [world.transactions["t"]]
+    assert check_all_or_nothing(trace, txns).passed
+    assert check_strict_serializability(trace, txns).passed
+    set_final_vars(trace, "a", "side", {"count": True})
+    verdict = check_all_or_nothing(trace, txns)
+    assert [v.explanation for v in verdict.violations] == [
+        "scoped contract a/side ended at [[count,b1]], reference says "
+        "[[count,i1]]"]
+    assert not check_strict_serializability(trace, txns).passed
 
 
 def test_untouched_contract_mismatch_fails_without_replay(monkeypatch):
