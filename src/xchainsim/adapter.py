@@ -37,7 +37,7 @@ DELIVERED = "delivered"
 COMPLETED = "completed"
 
 
-@dataclass
+@dataclass(slots=True)
 class Future:
     seq: int
     kind: str                 # "anotify" | "rcall"

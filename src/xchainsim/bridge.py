@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .chain import Address, ScenarioError
 from .trace import canon, memoized
@@ -107,15 +107,14 @@ class Ack:
                 % (self.seq, "b1" if self.ok else "b0", result))
 
 
-@dataclass(frozen=True)
-class BridgeMessage:
+class BridgeMessage(NamedTuple):
     msg_id: int
     payload: object
     dest: Address
     origin_block: int
 
 
-@dataclass
+@dataclass(slots=True)
 class QueuedMessage:
     message: BridgeMessage
     due: int
@@ -188,9 +187,7 @@ class Bridge:
         self._require_adversarial()
         for i, queued in enumerate(self.queue):
             if queued.message.msg_id == msg_id:
-                old = queued.message
-                queued.message = BridgeMessage(
-                    old.msg_id, new_payload, old.dest, old.origin_block)
+                queued.message = queued.message._replace(payload=new_payload)
                 return queued.message
         return None
 

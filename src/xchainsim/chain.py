@@ -160,7 +160,7 @@ def contract_entry(contract: Contract) -> tuple:
             contract.checkpoint)
 
 
-@dataclass
+@dataclass(slots=True)
 class InvokeOutcome:
     ok: bool
     result: Optional[Value] = None

@@ -18,7 +18,10 @@ All nondeterminism (delays, reorder permutations) draws from one seeded
 generator, so a (scenario, seed) pair fully determines the trace.
 
 The World owns its components: chains, bridges, adapters, executors and
-proposer machines.  A component that needs the world, or an executor
+proposer machines.  It finds an adapter by its address, where bridge
+deliveries send, and by the bridge it sends on, the (local chain, remote
+chain, tag) triple that `adapter_between` is asked for, so no lookup
+builds an address.  A component that needs the world, or an executor
 that needs its chain, holds a weak proxy, and a machine reaches its
 executor through one.  So a world holds no reference cycle, and
 reference counting frees it, trace included, as soon as its last
@@ -87,6 +90,9 @@ class World:
         # Every chain whose open block holds a record; its chain adds it.
         self.open_chains: set[str] = set()
         self.adapters: dict[Address, Adapter] = {}
+        # Each adapter also under the bridge it sends on, the triple
+        # (local chain, remote chain, tag) that adapter_between looks up.
+        self.adapters_out: dict[BridgeId, Adapter] = {}
         self.executors: dict[str, ExecutorContract] = {}
         self.transactions: dict[str, CrossChainTransaction] = {}
         self.tx_schedule: list = []       # (tick, txid) in declaration order
@@ -146,8 +152,8 @@ class World:
     def _maybe_pair_adapters(self, out_id: BridgeId) -> None:
         """Pair an adapter on each end once both directions exist,
         reusing the registered bridge ids and one address per end."""
-        reverse = self.bridges.get(BridgeId(out_id.dst, out_id.src,
-                                            out_id.tag))
+        # a BridgeId hashes and compares as its plain tuple
+        reverse = self.bridges.get((out_id.dst, out_id.src, out_id.tag))
         if reverse is None:
             return
         in_id = reverse.id
@@ -155,8 +161,9 @@ class World:
         there = Address(out_id.dst, adapter_local(out_id.src, out_id.tag))
         for out_bridge, in_bridge, addr, peer in (
                 (out_id, in_id, here, there), (in_id, out_id, there, here)):
-            self.adapters[addr] = Adapter(self, self.chains[out_bridge.src],
-                                          addr, peer, out_bridge, in_bridge)
+            self.adapters[addr] = self.adapters_out[out_bridge] = Adapter(
+                self, self.chains[out_bridge.src], addr, peer, out_bridge,
+                in_bridge)
             self.executors[out_bridge.src].trusted_adapters.add(addr)
 
     def add_transaction(self, txn: CrossChainTransaction,
@@ -205,8 +212,7 @@ class World:
 
     def adapter_between(self, local_chain: str, remote_chain: str,
                         tag: int = 0) -> Adapter:
-        adapter = self.adapters.get(
-            Address(local_chain, adapter_local(remote_chain, tag)))
+        adapter = self.adapters_out.get((local_chain, remote_chain, tag))
         if adapter is None:
             raise ScenarioError("no adapter pair between %s and %s"
                                 % (local_chain, remote_chain))

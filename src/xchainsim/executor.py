@@ -22,6 +22,11 @@ remote future resolves.  A chain that refused its lock still receives
 the unlock request (a no-op for it), which keeps dangling-lock cleanup
 unconditional.
 
+An executor decodes each distinct bytes value of a request's txid,
+method or address once and reuses the str or Address, so its events for
+one contract share one target, whose text is formatted once.  A param
+that is not bytes is never looked up: it is refused as BadRequest.
+
 The generator reaches its machine only through a weak proxy, so a
 transaction left unfinished (a dropped message) forms no reference
 cycle and its world is still freed by reference counting.
@@ -84,6 +89,9 @@ class ExecutorContract:
         # is accepted or served once, so no message can replay it.
         self.proposed: set = set()
         self.served: set = set()
+        # Decoded request fields by their bytes (module docstring).
+        self.texts: dict[bytes, str] = {}
+        self.addresses: dict[bytes, Address] = {}
 
     # Dispatch from chain.invoke ----------------------------------------
 
@@ -98,6 +106,13 @@ class ExecutorContract:
             return self._unlock_scope(caller, params)
         raise MethodFailure("UnknownMethod")
 
+    def _decoded(self, memo: dict, decode, value):
+        """`decode(value)`, kept in `memo` per distinct bytes value."""
+        found = memo.get(value) if type(value) is bytes else None
+        if found is None:   # decode refuses a value that is not bytes
+            found = memo[value] = decode(value)
+        return found
+
     def _authorize(self, caller: Address) -> None:
         if caller != self.addr and caller not in self.trusted_adapters:
             raise MethodFailure("NotTrusted")
@@ -105,7 +120,7 @@ class ExecutorContract:
     def _propose(self, caller: Address, params: list):
         if len(params) != 1:
             raise MethodFailure("BadRequest")
-        txid = decode_text(params[0])
+        txid = self._decoded(self.texts, decode_text, params[0])
         txn = self.world.transactions.get(txid)
         if txn is None or txn.originator.chain != self.chain.id:
             raise MethodFailure("UnknownTransaction")
@@ -126,8 +141,9 @@ class ExecutorContract:
         self._authorize(caller)
         if not params:
             raise MethodFailure("BadRequest")
-        txid = decode_text(params[0])
-        targets = [decode_address(p) for p in params[1:]]
+        txid = self._decoded(self.texts, decode_text, params[0])
+        targets = [self._decoded(self.addresses, decode_address, p)
+                   for p in params[1:]]
         if txid in self.served:
             raise MethodFailure("AlreadyLocked")
         self.served.add(txid)
@@ -146,9 +162,9 @@ class ExecutorContract:
         self._authorize(caller)
         if len(params) < 3:
             raise MethodFailure("BadRequest")
-        txid = decode_text(params[0])
-        target = decode_address(params[1])
-        method = decode_text(params[2])
+        txid = self._decoded(self.texts, decode_text, params[0])
+        target = self._decoded(self.addresses, decode_address, params[1])
+        method = self._decoded(self.texts, decode_text, params[2])
         args = list(params[3:])
         contract = self.chain.contract(target)
         if contract is None:
@@ -170,7 +186,7 @@ class ExecutorContract:
         self._authorize(caller)
         if len(params) != 2 or not isinstance(params[1], bool):
             raise MethodFailure("BadRequest")
-        txid = decode_text(params[0])
+        txid = self._decoded(self.texts, decode_text, params[0])
         failure = params[1]
         for target in reversed(self.participant_locks.pop(txid, [])):
             self.chain.unlock(self.addr, target, failure=failure, txid=txid)
@@ -262,7 +278,7 @@ class ProposerMachine:
             for round_no, layer in enumerate(txn.layers):
                 m.round_no = round_no
                 for action in layer:
-                    m._call(action.chain, "run_action",
+                    m._call(action.target.chain, "run_action",
                             [txid, encode_address(action.target),
                              action.method.encode(), *action.params])
                 if not (yield):

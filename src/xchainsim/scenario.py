@@ -345,9 +345,9 @@ def _parse_action(raw: dict, where: str, default_id: int,
                   chain_ids: set) -> IndexedAction:
     _known(raw, where, ("id", "chain", "target", "method", "params"))
     action_id = _int(raw, "id", where, default_id)
-    chain = _choice(raw, "chain", where, chain_ids)
-    return IndexedAction(action_id, chain,
-                         Address(chain, _name(raw, "target", where)),
+    return IndexedAction(action_id,
+                         Address(_choice(raw, "chain", where, chain_ids),
+                                 _name(raw, "target", where)),
                          _name(raw, "method", where),
                          tuple(_values(raw, "params", where)))
 

@@ -15,14 +15,16 @@ type table, where a class with a memoized `_text` (the recorded value
 classes below) is entered as a getter of that attribute, so an already
 computed text costs one attribute read.
 
-A value recorded in an event is never mutated afterwards.  Addresses
-and bridge ids are tuple subclasses, so they hash, compare and sort as
-tuples, in C; bridge payloads are frozen dataclasses.  Each computes its
-canonical text once per object and keeps it in the object's __dict__
-(a tuple subclass cannot have slots beyond an empty __slots__).  An
-adversarial corruption replaces the message's payload object instead of
-editing it.  So the text of a recorded value never changes, and a
-checker may treat the very same object as the same text.
+An event is a slotted record; a value recorded in it is never mutated
+afterwards.  Addresses and bridge ids are tuple subclasses, so they
+hash, compare and sort as tuples, in C; bridge payloads are frozen
+dataclasses.  Each computes its canonical text once per object and
+keeps it in the object's __dict__ (a tuple subclass cannot have slots
+beyond an empty __slots__); an executor reuses one Address per decoded
+encoding, so that holds per contract, not per request.  An adversarial
+corruption replaces the message's payload object instead of editing
+it.  So the text of a recorded value never changes, and a checker may
+treat the very same object as the same text.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def _canon_fallback(value: Any) -> str:
     return c() if callable(c) else c
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     tick: int
     kind: str

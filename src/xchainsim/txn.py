@@ -19,16 +19,9 @@ class CyclicOrderError(ScenarioError):
 @dataclass(frozen=True)
 class IndexedAction:
     action_id: int
-    chain: str
-    target: Address
+    target: Address          # the action runs on target.chain
     method: str
     params: tuple
-
-    def __post_init__(self):
-        if self.target.chain != self.chain:
-            raise ScenarioError("action %d targets %s but is indexed on %s"
-                                % (self.action_id, self.target.canon(),
-                                   self.chain))
 
 
 @dataclass(frozen=True)
@@ -60,16 +53,12 @@ class CrossChainTransaction:
 
     def chains(self) -> list:
         """Participating chains in canonical (sorted id) order."""
-        return sorted({a.chain for a in self.actions})
+        return sorted({a.target.chain for a in self.actions})
 
     def chains_declared(self) -> list:
         """Participating chains in first-appearance order of the action
         list; used when the lock-order flag is `declared`."""
-        seen: list = []
-        for a in self.actions:
-            if a.chain not in seen:
-                seen.append(a.chain)
-        return seen
+        return list(dict.fromkeys(a.target.chain for a in self.actions))
 
 
 def layer_partition(txn: CrossChainTransaction) -> list:
@@ -101,7 +90,8 @@ def scope_union(txn: CrossChainTransaction, chain_id: str) -> list:
     """All contracts a transaction touches on one chain, in canonical
     address order: its action targets there, since a call writes its
     target and nothing else."""
-    return sorted({a.target for a in txn.actions if a.chain == chain_id})
+    return sorted({a.target for a in txn.actions
+                   if a.target.chain == chain_id})
 
 
 def validate_transaction(txn: CrossChainTransaction, world) -> None:
@@ -109,10 +99,11 @@ def validate_transaction(txn: CrossChainTransaction, world) -> None:
     actions have distinct targets (which is what makes within-layer
     execution order irrelevant)."""
     for action in txn.actions:
-        chain = world.chains.get(action.chain)
+        chain = world.chains.get(action.target.chain)
         if chain is None:
             raise ScenarioError("%s: action %d references unknown chain %s"
-                                % (txn.txid, action.action_id, action.chain))
+                                % (txn.txid, action.action_id,
+                                   action.target.chain))
         contract = chain.contract(action.target)
         if contract is None:
             raise ScenarioError("%s: action %d references unknown contract %s"
@@ -129,7 +120,8 @@ def validate_transaction(txn: CrossChainTransaction, world) -> None:
             if action.target in seen:
                 raise ScenarioError(
                     "%s: same-layer actions on %s share scope %s"
-                    % (txn.txid, action.chain, action.target.canon()))
+                    % (txn.txid, action.target.chain,
+                       action.target.canon()))
             seen.add(action.target)
 
 
@@ -157,7 +149,7 @@ def ideal_execute(txn: CrossChainTransaction, world) -> IdealReport:
             try:
                 if contract is None:
                     raise MethodFailure("UnknownTarget")
-                contract.call(world.chains[action.chain].executor_addr,
+                contract.call(world.chains[action.target.chain].executor_addr,
                               action.method, action.params)
             except MethodFailure as f:
                 world.restore(saved)

@@ -86,3 +86,16 @@ def test_adversarial_drop_and_corrupt():
     new_payload = Ack(seq=99, ok=False)
     assert bridge.corrupt(2, new_payload).payload is new_payload
     assert bridge.drop(42) is None
+
+
+def test_corrupt_replaces_only_the_payload():
+    rng = random.Random(0)
+    bridge = Bridge(BridgeId("a", "b"),
+                    BridgePolicy(max_delay=1, mode="adversarial"))
+    old = BridgeMessage(7, Ack(seq=7, ok=True), Address("b", "adapter:a"), 3)
+    bridge.enqueue(old, 0, rng)
+    new_payload = Ack(seq=99, ok=False)
+    new = bridge.corrupt(7, new_payload)
+    assert bridge.queue[0].message is new
+    assert new == old._replace(payload=new_payload)
+    assert old.payload == Ack(seq=7, ok=True)   # the old message is intact

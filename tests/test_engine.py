@@ -182,6 +182,23 @@ def test_forge_with_no_route_back_needs_a_dest():
     assert world.quiesced
 
 
+def test_adapter_between_finds_the_adapter_of_each_tagged_pair():
+    world = World(seed=0)
+    for chain in ("a", "b", "c"):
+        world.add_chain(chain)
+    for tag in (0, 1):
+        world.add_bridge("a", "b", tag=tag)
+        world.add_bridge("b", "a", tag=tag)
+    world.add_bridge("a", "c")
+    assert world.adapter_between("a", "b").addr == Address("a", "adapter:b")
+    assert world.adapter_between("b", "a", 1).addr == \
+        Address("b", "adapter:a#1")
+    for local, remote, tag in (("a", "c", 0), ("c", "a", 0), ("a", "b", 2)):
+        with pytest.raises(ScenarioError, match="^no adapter pair between "
+                           "%s and %s$" % (local, remote)):
+            world.adapter_between(local, remote, tag)
+
+
 def test_forge_with_no_dest_goes_to_the_adapter_of_its_tagged_pair():
     world = World(seed=0)
     world.add_chain("a")

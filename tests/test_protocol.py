@@ -11,11 +11,13 @@ from xchainsim import (Address, CrossChainTransaction, IndexedAction,
                        StopCondition, Verdict, World, build_world,
                        check_all_or_nothing, check_secure_transfer,
                        check_strict_serializability, extract_metrics,
-                       load_scenario)
+                       load_scenario, parse_scenario)
 from xchainsim.adapter import PENDING
 from xchainsim.bridge import ADVERSARIAL, BridgeId, Rcall
 from xchainsim.executor import ABORTED, COMMITTED, LOCK_CONFLICT, OP_FAILED
 from xchainsim.trace import FUTURE, INVOKE, LOCK, OUTCOME, SEND, UNLOCK
+
+from test_memory import swaps
 
 
 def run_bundled(name, seed=0, lock_order=None):
@@ -151,9 +153,9 @@ def test_sequential_transactions_share_one_executor():
     for i, tick in enumerate((0, 30)):
         txn = CrossChainTransaction(
             "t%d" % i,
-            [IndexedAction(0, "a", Address("a", "tok"), "transfer",
+            [IndexedAction(0, Address("a", "tok"), "transfer",
                            (b"x", b"y", 1)),
-             IndexedAction(1, "b", Address("b", "tok"), "transfer",
+             IndexedAction(1, Address("b", "tok"), "transfer",
                            (b"x", b"y", 1))],
             set(), Address("a", "user"))
         world.add_transaction(txn, tick=tick)
@@ -182,9 +184,9 @@ def test_local_failure_waits_for_the_remote_action_of_its_round(
     # One round: the proposer's own leg overdraws, the remote leg runs.
     world.add_transaction(CrossChainTransaction(
         "t",
-        [IndexedAction(0, "left", Address("left", "token"), "transfer",
+        [IndexedAction(0, Address("left", "token"), "transfer",
                        (b"eve", b"bob", 1)),
-         IndexedAction(1, "right", Address("right", "token"), "transfer",
+         IndexedAction(1, Address("right", "token"), "transfer",
                        (b"bob", b"alice", 7))],
         set(), Address("left", "alice")))
     trace = world.run(StopCondition(quiesce=True, max_ticks=100))
@@ -216,8 +218,8 @@ def test_transaction_on_its_proposer_chain_commits_in_its_propose_tick():
     token = Address("a", "tok")
     world.add_transaction(CrossChainTransaction(
         "local",
-        [IndexedAction(0, "a", token, "transfer", (b"x", b"y", 3)),
-         IndexedAction(1, "a", token, "transfer", (b"y", b"x", 1))],
+        [IndexedAction(0, token, "transfer", (b"x", b"y", 3)),
+         IndexedAction(1, token, "transfer", (b"y", b"x", 1))],
         {(0, 1)}, Address("a", "user")), tick=3)
     trace = world.run(StopCondition(quiesce=True, max_ticks=20))
     assert world.machines[0].outcome == COMMITTED
@@ -239,8 +241,8 @@ def test_propose_while_busy_is_executor_busy():
     for i in range(2):
         txn = CrossChainTransaction(
             "t%d" % i,
-            [IndexedAction(0, "a", Address("a", "tok"), "mint", (b"x", 1)),
-             IndexedAction(1, "b", Address("b", "tok"), "mint", (b"x", 1))],
+            [IndexedAction(0, Address("a", "tok"), "mint", (b"x", 1)),
+             IndexedAction(1, Address("b", "tok"), "mint", (b"x", 1))],
             set(), Address("a", "user"))
         world.add_transaction(txn, tick=0)  # both at tick 0: second is busy
     trace = world.run(StopCondition(quiesce=True, max_ticks=100))
@@ -456,6 +458,48 @@ def test_a_forged_lock_scope_strands_no_lock(adversarial_swap, tick):
     calls = executor_calls(trace, "mumbai", "lock_scope")
     assert sorted(err or "" for _, _, _, err in calls) == ["",
                                                           "AlreadyLocked"]
+
+
+@pytest.mark.parametrize("scenario", [
+    load_scenario("swap"), parse_scenario(swaps(4, 20, seed=0))],
+    ids=["swap", "swaps-k4"])
+def test_a_contract_is_one_object_in_every_event_that_targets_it(scenario):
+    # executors decode each distinct address once, so the lock, the
+    # action and the unlock of a contract, over all transactions, carry
+    # the very same target object (whose text is formatted once)
+    trace = build_world(scenario, seed=0).run(scenario.stop)
+    objects = {}
+    for e in trace.events:
+        if e.kind in (LOCK, UNLOCK, INVOKE):
+            objects.setdefault(e.data["target"], set()).add(
+                id(e.data["target"]))
+    locked = {e.data["target"] for e in trace.events if e.kind == LOCK}
+    assert len(locked) >= 2
+    assert all(len(ids) == 1 for ids in objects.values()), objects
+
+
+@pytest.mark.parametrize("bad", [7, True, [b"mumbai/token"], b"\xff"],
+                         ids=["int", "bool", "list", "not-utf8"])
+@pytest.mark.parametrize("method,params", [
+    ("lock_scope", ("bad",)),
+    ("lock_scope", (b"swap1", "bad")),
+    ("run_action", ("bad", b"mumbai/token", b"transfer")),
+    ("run_action", (b"swap1", "bad", b"transfer")),
+    ("run_action", (b"swap1", b"mumbai/token", "bad"))])
+def test_a_request_field_that_is_not_text_is_a_bad_request(
+        adversarial_swap, method, params, bad):
+    params = tuple(bad if p == "bad" else p for p in params)
+    world = build_world(adversarial_swap, seed=0)
+    world.add_injection(Injection(
+        tick=1, op="forge", bridge=BridgeId("fantom", "mumbai"),
+        payload=Rcall(target=Address("mumbai", "exec"), method=method,
+                      params=params, seq=9)))
+    trace = world.run(adversarial_swap.stop)
+    [forged] = [e for e in trace.events if e.kind == INVOKE
+                and e.data["method"] == method
+                and e.data["params"] == list(params)]
+    assert " ok=b0 err=BadRequest" in forged.render()
+    assert world.quiesced and outcomes(trace) == [COMMITTED]
 
 
 # The executor's four methods, the library's, and two it has none of.

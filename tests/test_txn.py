@@ -13,7 +13,7 @@ from xchainsim import (Address, CrossChainTransaction, CyclicOrderError,
 
 
 def make_txn(n_actions, prec, chain="c"):
-    actions = [IndexedAction(i, chain, Address(chain, "x%d" % i), "m", ())
+    actions = [IndexedAction(i, Address(chain, "x%d" % i), "m", ())
                for i in range(n_actions)]
     return CrossChainTransaction("t", actions, set(prec),
                                  Address(chain, "origin"))
@@ -104,9 +104,9 @@ def swap_world():
 def swap_txn(amount_back=4):
     return CrossChainTransaction(
         "swap", [
-            IndexedAction(0, "c1", Address("c1", "tok"), "transfer",
+            IndexedAction(0, Address("c1", "tok"), "transfer",
                           (b"alice", b"bob", 3)),
-            IndexedAction(1, "c2", Address("c2", "tok"), "transfer",
+            IndexedAction(1, Address("c2", "tok"), "transfer",
                           (b"bob", b"alice", amount_back)),
         ], set(), Address("c1", "origin"))
 
@@ -121,9 +121,9 @@ def test_validation_rejects_same_layer_scope_overlap(swap_world):
     def txn_with(prec):
         return CrossChainTransaction(
             "t", [
-                IndexedAction(0, "c1", Address("c1", "tok"), "transfer",
+                IndexedAction(0, Address("c1", "tok"), "transfer",
                               (b"alice", b"bob", 1)),
-                IndexedAction(1, "c1", Address("c1", "tok"), "transfer",
+                IndexedAction(1, Address("c1", "tok"), "transfer",
                               (b"bob", b"alice", 1)),
             ], prec, Address("c1", "origin"))
     txn = txn_with(set())
@@ -170,7 +170,7 @@ def test_ideal_execute_missing_target_fails_and_restores(swap_world):
     # action 0's transfer rolls back
     txn = swap_txn()
     txn = CrossChainTransaction(txn.txid, txn.actions + [
-        IndexedAction(2, "c3", Address("c3", "tok"), "transfer",
+        IndexedAction(2, Address("c3", "tok"), "transfer",
                       (b"bob", b"alice", 1))], {(0, 2)}, txn.originator)
     before = swap_world.state()
     report = ideal_execute(txn, swap_world)
@@ -194,16 +194,16 @@ def test_within_layer_order_insensitive_when_scopes_disjoint(swap_world):
                             init={"bal:alice": 5, "bal:bob": 5})
     start = swap_world.state()
     base_actions = [
-        IndexedAction(0, "c1", Address("c1", "tok"), "transfer",
+        IndexedAction(0, Address("c1", "tok"), "transfer",
                       (b"alice", b"bob", 2)),
-        IndexedAction(1, "c1", Address("c1", "tok2"), "transfer",
+        IndexedAction(1, Address("c1", "tok2"), "transfer",
                       (b"bob", b"alice", 2)),
     ]
     finals = []
     for order in ([0, 1], [1, 0]):
         actions = [base_actions[i] for i in order]
         # renumber so ids stay ascending within the layer
-        actions = [IndexedAction(i, a.chain, a.target, a.method, a.params)
+        actions = [IndexedAction(i, a.target, a.method, a.params)
                    for i, a in enumerate(actions)]
         txn = CrossChainTransaction("t", actions, set(),
                                     Address("c1", "origin"))

@@ -14,6 +14,7 @@ from xchainsim import (Address, BudgetExceededError, Injection,
                        load_scenario, parse_scenario)
 from xchainsim import verify
 from xchainsim.bridge import ADVERSARIAL, Ack, BridgeId
+from xchainsim.chain import same_vars
 from xchainsim.trace import INVOKE, LOCK, OUTCOME, UNLOCK, ContractSnapshot
 from xchainsim.verify import (ALL_OR_NOTHING, EXACTLY_ONCE, LIVENESS, SAFETY,
                               SERIALIZABILITY)
@@ -490,6 +491,13 @@ def final_vars_of(world) -> dict:
     return {(s.chain, s.local): s.vars for s in world.snapshot()}
 
 
+def same_final_vars(reached, final: dict) -> bool:
+    """Whether `reached`, a result of replay_order, is the final vars
+    `final`, each contract's compared by same_vars: True is not 1."""
+    return isinstance(reached, dict) and reached.keys() == final.keys() \
+        and all(same_vars(reached[key], final[key]) for key in final)
+
+
 def replay_order(trace, txns, order):
     """Replay `order` through the chains of a world rebuilt from the
     initial snapshot: the final vars it reaches, or the index of the
@@ -508,7 +516,8 @@ def assert_valid_witness(trace, txns, witness):
     mutating, blocks, pairs = witness_rules(trace, txns)
     assert sorted(witness) == mutating
     assert broken_rule(blocks, pairs, witness) is None
-    assert replay_order(trace, txns, witness) == trace.final_vars()
+    reached = replay_order(trace, txns, witness)
+    assert same_final_vars(reached, trace.final_vars()), reached
 
 
 def brute_force_serializable(trace, txns) -> bool:
@@ -517,7 +526,7 @@ def brute_force_serializable(trace, txns) -> bool:
     mutating, blocks, pairs = witness_rules(trace, txns)
     final = trace.final_vars()
     return any(broken_rule(blocks, pairs, order) is None
-               and replay_order(trace, txns, order) == final
+               and same_final_vars(replay_order(trace, txns, order), final)
                for order in permutations(mutating))
 
 
@@ -726,7 +735,7 @@ def exhaustive_serializable(trace, txns) -> bool:
 
     def search(placed, open_txid):
         if len(placed) == len(mutating):
-            return final_vars_of(world) == final
+            return same_final_vars(final_vars_of(world), final)
         state = world.state()
         key = (placed, open_txid, state)
         if key in seen:
@@ -820,6 +829,8 @@ def test_a_final_value_of_another_type_fails_both_state_checkers():
         "scoped contract a/side ended at [[count,b1]], reference says "
         "[[count,i1]]"]
     assert not check_strict_serializability(trace, txns).passed
+    assert not brute_force_serializable(trace, txns)
+    assert not exhaustive_serializable(trace, txns)
 
 
 def test_untouched_contract_mismatch_fails_without_replay(monkeypatch):
