@@ -25,6 +25,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -104,6 +105,8 @@ def main(argv=None) -> int:
     command = ["python3", "perfbench/run.py", "--workload", args.workload,
                "--seed", str(args.seed), "--seconds", "%g" % args.seconds,
                "--trace", "0"]
+    # so that a terminated run still removes its worktree below
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     base_tree = tempfile.mkdtemp(prefix="bench-base-")
     try:
         subprocess.run(["git", "worktree", "add", "--detach", base_tree,
