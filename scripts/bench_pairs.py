@@ -11,7 +11,11 @@ once in that worktree (the base) and once in this checkout (the
 change), alternating which side goes first.  Every end-to-end metric of
 BENCHMARK.json is summed up per side as its median and quartiles, with
 the number of pairs the change wins in the metric's `better` direction
-(a tie wins for neither).  FILE gets that summary, the revisions, the
+(a tie wins for neither).  So are two raw figures of each run, which
+no host-speed scaling touches: `attempted`, the ops the run finished,
+and `unscaled_op_p50_ms`, the op p50 of perfbench's "measured,
+unscaled" line; a gain that shows only in the scaled metrics is not
+one.  FILE gets that summary, the revisions, the
 command and every run's result, under the workload's name: the reports
 of other workloads already in FILE are kept, so one file can gather a
 run of each.  The exit code is 1 when any run reads `correct: false` or
@@ -24,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import signal
 import statistics
@@ -34,9 +39,27 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+# Raw figures of a run, summed up beside the end-to-end metrics.
+RAW = [{"name": "attempted", "unit": "ops", "better": "higher"},
+       {"name": "unscaled_op_p50_ms", "unit": "ms", "better": "lower"}]
+UNSCALED_P50 = re.compile(r"^perfbench: measured, unscaled: .*; op p50 "
+                          r"(\S+) ms$", re.M)
+
+
 def result_of(stdout: str) -> dict:
-    """The JSON result object, the last line perfbench/run.py prints."""
-    return json.loads(stdout.strip().splitlines()[-1])
+    """The JSON result object, the last line perfbench/run.py prints,
+    with the unscaled op p50 of its "measured, unscaled" line (None when
+    the run printed none)."""
+    result = json.loads(stdout.strip().splitlines()[-1])
+    match = UNSCALED_P50.search(stdout)
+    result["unscaled_op_p50_ms"] = float(match.group(1)) if match else None
+    return result
+
+
+def value_of(result: dict, name: str):
+    """A run's value of an end-to-end metric or of a RAW figure."""
+    metric = result["metrics"].get(name)
+    return result.get(name) if metric is None else metric["value"]
 
 
 def quartiles(values: list) -> dict:
@@ -49,14 +72,17 @@ def quartiles(values: list) -> dict:
 
 
 def summarize(pairs: list, end_to_end: list) -> dict:
-    """Per end-to-end metric: each side's median and quartiles and the
-    change's wins.  `pairs` holds (base result, change result) per pair;
-    `end_to_end` is BENCHMARK.json's list of metrics."""
+    """Per end-to-end metric and RAW figure: each side's median and
+    quartiles and the change's wins.  `pairs` holds (base result, change
+    result) per pair; `end_to_end` is BENCHMARK.json's list of metrics.
+    A figure that some run lacks is left out."""
     summary = {}
-    for metric in end_to_end:
+    for metric in end_to_end + RAW:
         name = metric["name"]
-        base = [b["metrics"][name]["value"] for b, _ in pairs]
-        change = [c["metrics"][name]["value"] for _, c in pairs]
+        base = [value_of(b, name) for b, _ in pairs]
+        change = [value_of(c, name) for _, c in pairs]
+        if None in base or None in change:
+            continue
         sign = 1 if metric["better"] == "higher" else -1
         wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         summary[name] = {
@@ -121,10 +147,12 @@ def main(argv=None) -> int:
             for side in order:
                 tree = base_tree if side == "base" else ROOT
                 sides[side] = run_once(tree, command)
-                print("pair %d %s: correct=%s failed=%d ops_per_s=%.4g"
+                print("pair %d %s: correct=%s failed=%d ops_per_s=%.4g "
+                      "attempted=%d"
                       % (i, side, sides[side]["correct"],
                          sides[side]["failed"],
-                         sides[side]["metrics"]["ops_per_s"]["value"]),
+                         sides[side]["metrics"]["ops_per_s"]["value"],
+                         sides[side]["attempted"]),
                       file=sys.stderr)
             pairs.append((sides["base"], sides["change"]))
     finally:

@@ -173,7 +173,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    _, trace = _simulate(args)
+    world, trace = _simulate(args)
     report = extract_metrics(trace)
     header = "%-12s %-12s %8s %8s %8s" % ("chain", "role", "xc_msgs",
                                           "tx_count", "op_cost")
@@ -183,8 +183,11 @@ def cmd_metrics(args) -> int:
         print("%-12s %-12s %8d %8d %8d"
               % (chain_id, row["role"], row["xc_msgs"], row["tx_count"],
                  row["op_cost"]))
-    for txid in sorted(report.per_transaction):
-        row = report.per_transaction[txid]
+    for txid in sorted(report.per_transaction.keys() | world.transactions):
+        row = report.per_transaction.get(txid)
+        if row is None:
+            print("txn %s: unfinished" % txid)
+            continue
         reason = " reason=%s" % row["reason"] if row.get("reason") else ""
         print("txn %s: outcome=%s rounds=%d%s"
               % (txid, row["outcome"], row["rounds"], reason))

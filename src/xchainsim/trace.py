@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 # Event kinds.
 INVOKE = "invoke"
@@ -45,28 +45,88 @@ ADVERSARY = "adversary"
 OUTCOME = "outcome"
 ANOMALY = "anomaly"
 
-# Rendering order of detail fields, per kind.  Missing keys are skipped;
-# the set of present keys is fully determined by the event content, so
-# the rendering stays canonical.
-_FIELD_ORDER = {
-    INVOKE: ("caller", "target", "method", "params", "depth", "ok",
-             "result", "err", "writes", "txid", "actor"),
-    SEND: ("bridge", "msgid", "sender", "dest", "block", "payload"),
-    RECV: ("bridge", "msgid", "dest", "origin_block", "payload"),
-    SEAL: ("block", "count"),
-    LOCK: ("caller", "target", "ok", "err", "txid"),
-    UNLOCK: ("caller", "target", "failure", "ok", "err", "txid"),
-    FUTURE: ("adapter", "seq", "state", "ok"),
-    ADVERSARY: ("op", "caller", "target", "method", "params", "bridge",
-                "msgid", "fake_block", "payload"),
-    OUTCOME: ("txid", "outcome", "reason", "rounds"),
-    ANOMALY: ("what", "adapter", "seq", "msgid"),
+# The event schema: per kind, its fields in render order, each as
+# "name:type", or "name?:type" when optional.  A field's type is one of
+# _FORMATS: a memoized-text class (Address, BridgeId; defined in
+# chain.py and bridge.py, which import this module), int, bool, str, or
+# any value, written through canon.  A required field's value is never
+# None; an optional one is rendered only when its value is not None.
+SCHEMA_TEXT = {
+    INVOKE: "caller:Address target:Address method:str params:any depth:int"
+            " ok:bool result?:any err?:str writes?:any txid?:str actor?:str",
+    SEND: "bridge:BridgeId msgid:int sender:Address dest:Address block:int"
+          " payload:any",
+    RECV: "bridge:BridgeId msgid:int dest:Address origin_block:int"
+          " payload:any",
+    SEAL: "block:int count:int",
+    LOCK: "caller:Address target:Address ok:bool err?:str txid?:str",
+    UNLOCK: "caller:Address target:Address failure:bool ok:bool err?:str"
+            " txid?:str",
+    FUTURE: "adapter:Address seq:int state:str ok?:bool",
+    ADVERSARY: "op:str caller?:Address target?:Address method?:str"
+               " params?:any bridge?:BridgeId msgid?:int fake_block?:int"
+               " payload?:any",
+    OUTCOME: "txid:str outcome:str reason?:str rounds:int",
+    ANOMALY: "what:str adapter?:Address seq?:int msgid?:int",
 }
 
-# The same order as (key, "key=") pairs, so a render concatenates and
-# does not format a label per field.
-_FIELDS = {kind: tuple((key, key + "=") for key in keys)
-           for kind, keys in _FIELD_ORDER.items()}
+
+class Field(NamedTuple):
+    name: str
+    type: str          # a key of _FORMATS
+    required: bool
+
+
+SCHEMA = {kind: tuple(Field(name.rstrip("?"), type, not name.endswith("?"))
+                      for name, type in (f.split(":") for f in text.split()))
+          for kind, text in SCHEMA_TEXT.items()}
+
+# Per field type: the `%` conversion of its text, and the expression
+# that gives the value to convert from the value `{}`.  A bool renders
+# as b0/b1 through %d, since True formats as 1.
+_FORMATS = {
+    "Address": ("%s", "{}._text"), "BridgeId": ("%s", "{}._text"),
+    "int": ("i%d", "{}"), "bool": ("b%d", "{}"), "str": ("%s", "{}"),
+    "any": ("%s", "canon({})"),
+}
+
+
+def _renderer_source(kind: str, fields: tuple) -> str:
+    """Source of `render(tick, chain, data)` for one kind: each run of
+    consecutive required fields is one `%` format (the first one with
+    the line's head), and each optional field is appended when present."""
+    lines = ["def render(tick, chain, data):"]
+    text, args = "tick=%d kind=" + kind + " chain=%s", ["tick", "chain"]
+    for name, type, required in fields:
+        conversion, value = _FORMATS[type]
+        label = " " + name + "=" + conversion
+        if required:
+            text += label
+            args.append(value.format("data[%r]" % name))
+            continue
+        if args:
+            lines.append("    line %s= %r %% (%s,)" % (
+                "+" if len(lines) > 1 else "", text, ", ".join(args)))
+            text, args = "", []
+        label, value = (label[:-2], " + " + value) if conversion == "%s" \
+            else (label, " % " + value)
+        lines += ["    value = data.get(%r)" % name,
+                  "    if value is not None:",
+                  "        line += %r%s" % (label, value.format("value"))]
+    if not args:
+        lines.append("    return line")
+    else:
+        lines.append("    return %s%r %% (%s,)" % (
+            "line + " if len(lines) > 1 else "", text, ", ".join(args)))
+    return "\n".join(lines) + "\n"
+
+
+def _renderer(kind: str, fields: tuple):
+    namespace = {"canon": canon}
+    exec(_renderer_source(kind, fields), namespace)
+    render = namespace["render"]
+    render.__qualname__ = render.__name__ = "render_" + kind
+    return render
 
 
 class memoized:
@@ -152,6 +212,10 @@ def _canon_fallback(value: Any) -> str:
     return c() if callable(c) else c
 
 
+# One renderer per kind, built once from the schema.
+_RENDER = {kind: _renderer(kind, fields) for kind, fields in SCHEMA.items()}
+
+
 @dataclass(slots=True)
 class TraceEvent:
     tick: int
@@ -160,25 +224,7 @@ class TraceEvent:
     data: dict
 
     def render(self) -> str:
-        parts = ["tick=%d kind=%s" % (self.tick, self.kind)]
-        append = parts.append
-        if self.chain is not None:
-            append("chain=%s" % self.chain)
-        get = self.data.get
-        for key, label in _FIELDS[self.kind]:
-            value = get(key)
-            if value is None:
-                continue
-            kind = type(value)
-            if kind is str:
-                append(label + value)
-            elif kind is int:
-                append(label + "i%d" % value)
-            else:
-                text = _CANON.get(kind)
-                append(label + (_canon_fallback(value) if text is None
-                                else text(value)))
-        return " ".join(parts)
+        return _RENDER[self.kind](self.tick, self.chain, self.data)
 
 
 @dataclass
@@ -223,7 +269,9 @@ class Trace:
                     canon(self.quiesced), self.end_tick)]
         lines += [s.render("initial") for s in
                   sorted(self.initial, key=lambda s: (s.chain, s.local))]
-        lines += [e.render() for e in self.events]
+        render = _RENDER
+        lines += [render[e.kind](e.tick, e.chain, e.data)
+                  for e in self.events]
         lines += [s.render("final") for s in
                   sorted(self.final, key=lambda s: (s.chain, s.local))]
         return "\n".join(lines) + "\n"

@@ -542,29 +542,31 @@ class MetricsReport:
 
 def extract_metrics(trace: Trace) -> MetricsReport:
     """Per-chain message and operation counts, and each transaction's
-    outcome, from one pass over the events."""
+    outcome, from one pass over the events.  A chain is a proposer when
+    a `propose` was accepted on it, whether or not its transaction has
+    finished."""
     report = MetricsReport()
     # chain -> [xc_msgs, tx_count, op_cost]
     counts = {s.chain: [0, 0, 0] for s in trace.initial}
     proposer_chains = set()
     for event in trace.events:
-        kind, chain_id = event.kind, event.chain
+        kind, chain_id, data = event.kind, event.chain, event.data
         if kind == OUTCOME:
-            proposer_chains.add(chain_id)
-            report.per_transaction[event.data["txid"]] = {
-                "outcome": event.data["outcome"],
-                "reason": event.data.get("reason"),
-                "rounds": event.data["rounds"],
+            report.per_transaction[data["txid"]] = {
+                "outcome": data["outcome"],
+                "reason": data.get("reason"),
+                "rounds": data["rounds"],
             }
-        if not chain_id:
-            continue
         row = counts.setdefault(chain_id, [0, 0, 0])
         if kind == SEND:
             row[0] += 1
         elif kind in (INVOKE, LOCK, UNLOCK):
             row[2] += 1
-            if kind == INVOKE and event.data["depth"] == 0:
-                row[1] += 1
+            if kind == INVOKE:
+                if data["depth"] == 0:
+                    row[1] += 1
+                if data["ok"] and data["method"] == "propose":
+                    proposer_chains.add(chain_id)
     for chain_id in sorted(counts):
         xc_msgs, tx_count, op_cost = counts[chain_id]
         report.per_chain[chain_id] = {

@@ -264,6 +264,17 @@ def test_metrics_prints_abort_reason(capsys):
         "txn swap1: outcome=Aborted rounds=0 reason=LockConflict\n")
 
 
+def test_metrics_of_an_unfinished_transaction(capsys):
+    # the dropped ack leaves swap1 without an outcome: fantom is still
+    # its proposer, since its propose was accepted
+    assert main(["metrics", "--scenario", "adversary-drop"]) == 0
+    assert capsys.readouterr().out == (
+        "chain        role          xc_msgs tx_count  op_cost\n"
+        "fantom       proposer            1        2        3\n"
+        "mumbai       participant         0        0        0\n"
+        "txn swap1: unfinished\n")
+
+
 def test_metrics_three_exchange_proposer_row(capsys):
     assert main(["metrics", "--scenario", "three-exchange"]) == 0
     out = capsys.readouterr().out

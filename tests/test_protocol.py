@@ -549,3 +549,56 @@ def test_one_forged_rcall_never_stops_a_run_or_a_checker(adversarial_swap,
         assert isinstance(check_all_or_nothing(trace, txns), Verdict)
     except MissingOutcomeError:
         pass    # a forged ack can leave the swap without an outcome
+
+
+# The protocol's cost (README "Protocol cost"): one transaction on n
+# fully bridged chains with one counter incr per chain in each of L
+# layers, every action of a layer after every action of the one before,
+# over honest bridges that deliver in the next tick, in order.
+
+def cost_scenario(n: int, layers: int) -> dict:
+    chains = ["c%d" % i for i in range(n)]
+    actions, prec = [], []
+    for layer in range(layers):
+        for i, chain in enumerate(chains):
+            actions.append({"id": layer * n + i, "chain": chain,
+                            "target": "reg", "method": "incr",
+                            "params": [1]})
+            prec += [[(layer - 1) * n + j, layer * n + i]
+                     for j in range(n) if layer]
+    return {"name": "cost", "stop": {"quiesce": True, "max_ticks": 100},
+            "chains": [{"id": c, "contracts": [
+                {"local": "reg", "kind": "counter"}]} for c in chains],
+            "bridges": [{"src": a, "dst": b, "max_delay": 1,
+                         "reorder": False}
+                        for a in chains for b in chains if a != b],
+            "transactions": [{"txid": "t", "proposer": "c0", "tick": 3,
+                              "actions": actions, "prec": prec}]}
+
+
+def protocol_cost(n: int, layers: int) -> tuple:
+    """(outcome tick - propose tick, send events, outcome, rounds)."""
+    scenario = parse_scenario(cost_scenario(n, layers))
+    trace = build_world(scenario, seed=0).run(scenario.stop)
+    propose, = [e for e in trace.events
+                if e.kind == INVOKE and e.data["method"] == "propose"]
+    outcome, = [e for e in trace.events if e.kind == OUTCOME]
+    sends = sum(e.kind == SEND for e in trace.events)
+    return (outcome.tick - propose.tick, sends, outcome.data["outcome"],
+            outcome.data["rounds"])
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_protocol_cost_is_2_2n_minus_2_plus_l_ticks(n, layers):
+    # n-1 round trips to lock, one per layer, n-1 to unlock; each round
+    # trip is two ticks and two bridge messages
+    assert protocol_cost(n, layers) == (
+        2 * (2 * (n - 1) + layers), 2 * (n - 1) * (layers + 2),
+        COMMITTED, layers)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_a_one_chain_transaction_commits_in_its_propose_tick(layers):
+    # every call is on the proposer's own chain: no round trip at all
+    assert protocol_cost(1, layers) == (0, 0, COMMITTED, layers)

@@ -1,7 +1,8 @@
 """Canonical text: `canon`'s type table renders every value of the trace's
 domain exactly as the plain isinstance chain it replaces, the payload
-and address classes keep their text once computed, and an event renders
-as its fields in `_FIELD_ORDER`, each as `canon` writes it."""
+and address classes keep their text once computed, an event renders as
+its fields in schema order, each as `canon` writes it, and the suite's
+record guard (conftest.py) refuses an event outside the schema."""
 
 import copy
 import pickle
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from xchainsim import Address
 from xchainsim.bridge import Ack, Anotify, BridgeId, Rcall
 from xchainsim import trace
-from xchainsim.trace import Trace, canon
+from xchainsim.trace import FUTURE, LOCK, SEAL, SEND, Trace, canon
 
 
 def reference_canon(value):
@@ -86,30 +87,39 @@ def test_canon_matches_the_isinstance_chain(value):
 
 
 def reference_line(tick, kind, chain, data):
-    """An event's line as written before the per-kind label tables: every
-    present key of its kind's order, each value through reference_canon."""
-    parts = ["tick=%d kind=%s" % (tick, kind)]
-    if chain is not None:
-        parts.append("chain=%s" % chain)
-    for key in trace._FIELD_ORDER[kind]:
-        value = data.get(key)
+    """An event's line as written before the compiled renderers: every
+    present key in its kind's schema order, each value through
+    reference_canon."""
+    parts = ["tick=%d kind=%s chain=%s" % (tick, kind, chain)]
+    for field in trace.SCHEMA[kind]:
+        value = data.get(field.name)
         if value is not None:
-            parts.append(key + "=" + reference_canon(value))
+            parts.append(field.name + "=" + reference_canon(value))
     return " ".join(parts)
 
 
+# A value of each schema field type: ints are never bools, and "any"
+# is the whole domain of canon.
+typed = {"Address": addresses,
+         "BridgeId": st.builds(BridgeId, names, names, st.integers(0, 3)),
+         "int": st.integers(), "bool": st.booleans(), "str": names,
+         "any": values}
+
+
 def event_fields(kind):
-    """A kind, a chain and a data dict with a random subset of the kind's
-    keys, some None, plus keys the kind does not render."""
-    keys = st.sampled_from(trace._FIELD_ORDER[kind] + ("extra", "zz"))
-    return st.tuples(
-        st.just(kind), st.none() | names,
-        st.dictionaries(keys, values | st.none() | st.integers().map(Tick)))
+    """A kind, a chain and a data dict with every required field of the
+    kind and a random subset of its optional ones (present as None or
+    as a value), each of its declared type."""
+    fields = trace.SCHEMA[kind]
+    return st.tuples(st.just(kind), names, st.fixed_dictionaries(
+        {f.name: typed[f.type] for f in fields if f.required},
+        optional={f.name: st.none() | typed[f.type]
+                  for f in fields if not f.required}))
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.integers(0, 10**6),
-       st.sampled_from(sorted(trace._FIELD_ORDER)).flatmap(event_fields))
+       st.sampled_from(sorted(trace.SCHEMA)).flatmap(event_fields))
 def test_event_render_matches_the_field_order(tick, fields):
     kind, chain, data = fields
     log = Trace(tick=tick)
@@ -118,6 +128,29 @@ def test_event_render_matches_the_field_order(tick, fields):
     assert event.tick == tick
     assert event.render() == reference_line(tick, kind, chain, data)
     assert event.render() == reference_line(tick, kind, chain, data)
+    assert log.render().splitlines()[1] == event.render()
+
+
+A, B = Address("a", "x"), Address("b", "y")
+
+
+@pytest.mark.parametrize("kind,chain,data,error", [
+    (SEND, "a", {"bridge": BridgeId("a", "b"), "msgid": True, "sender": A,
+                 "dest": B, "block": 0, "payload": b""},
+     "msgid=True is not of type int"),
+    (LOCK, "a", {"caller": A, "target": B}, "required field ok missing"),
+    (SEAL, "a", {"block": 1, "count": 2, "extra": 3},
+     r"unknown fields \['extra'\]"),
+    (SEAL, None, {"block": 1, "count": 2}, "chain None is not a str"),
+    (FUTURE, "a", {"adapter": "a/x", "seq": 0, "state": "pending"},
+     "adapter='a/x' is not of type Address"),
+])
+def test_record_guard_refuses_an_event_outside_the_schema(kind, chain, data,
+                                                         error):
+    log = Trace()
+    with pytest.raises(TypeError, match=error):
+        log.record(kind, chain, data)
+    assert not log.events
 
 
 @pytest.mark.parametrize("value", [None, 1.5, {"a": 1}, object()])
