@@ -15,11 +15,11 @@ the number of pairs the change wins in the metric's `better` direction
 no host-speed scaling touches: `attempted`, the ops the run finished,
 and `unscaled_op_p50_ms`, the op p50 of perfbench's "measured,
 unscaled" line; a gain that shows only in the scaled metrics is not
-one.  FILE gets that summary, the revisions, the
-command and every run's result, under the workload's name: the reports
-of other workloads already in FILE are kept, so one file can gather a
-run of each.  The exit code is 1 when any run reads `correct: false` or
-`failed > 0`.
+one.  FILE gets that summary, the revisions, the command and every
+run's result, under the workload's name (`W@N` at a seed N other than
+0): the reports already in FILE under other keys are kept, so one file
+can gather a run of each workload and seed.  The exit code is 1 when
+any run reads `correct: false` or `failed > 0`.
 """
 
 from __future__ import annotations
@@ -177,7 +177,9 @@ def main(argv=None) -> int:
     if os.path.exists(args.out):
         with open(args.out) as f:
             gathered = json.load(f)
-    gathered["workloads"][args.workload] = report
+    key = args.workload if args.seed == 0 else "%s@%d" % (args.workload,
+                                                          args.seed)
+    gathered["workloads"][key] = report
     with open(args.out, "w") as f:
         json.dump(gathered, f, indent=1, sort_keys=True)
         f.write("\n")
