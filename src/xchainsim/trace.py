@@ -8,12 +8,19 @@ byte-identical files.
 
 The trace holds the tick being run, which the engine writes once per
 tick, and `Trace.record` is the one place an event is built: it stamps
-the event with that tick.  An event renders by walking its kind's table
-of (key, "key=") pairs, built once from _FIELD_ORDER.  A str or int
-value is written inline; every other value's text comes from the _CANON
-type table, where a class with a memoized `_text` (the recorded value
-classes below) is entered as a getter of that attribute, so an already
-computed text costs one attribute read.
+the event with that tick.  SCHEMA, read from SCHEMA_TEXT, lists each
+kind's fields in render order, each required or optional and of one
+type: a class with a memoized `_text` (Address, BridgeId), int, bool,
+str, or any value.  From it a renderer per kind is generated once, at
+import, the way dataclasses generates __init__: the line's head and
+each run of consecutive required fields is one `%` format (an int as
+i%d, a bool as b%d, a memoized class as its `_text`, any value through
+canon), and each optional field is appended when its value is not
+None.  The hot path checks no type; the test suite checks every
+recorded event against the schema.  canon itself looks a value's text
+up in the _CANON type table, where a class with a memoized `_text`
+(the recorded value classes below) is entered as a getter of that
+attribute, so an already computed text costs one attribute read.
 
 An event is a slotted record; a value recorded in it is never mutated
 afterwards.  Addresses and bridge ids are tuple subclasses, so they
@@ -77,8 +84,8 @@ class Field(NamedTuple):
     required: bool
 
 
-SCHEMA = {kind: tuple(Field(name.rstrip("?"), type, not name.endswith("?"))
-                      for name, type in (f.split(":") for f in text.split()))
+SCHEMA = {kind: tuple(Field(name.rstrip("?"), of, not name.endswith("?"))
+                      for name, of in (f.split(":") for f in text.split()))
           for kind, text in SCHEMA_TEXT.items()}
 
 # Per field type: the `%` conversion of its text, and the expression
@@ -95,30 +102,30 @@ def _renderer_source(kind: str, fields: tuple) -> str:
     """Source of `render(tick, chain, data)` for one kind: each run of
     consecutive required fields is one `%` format (the first one with
     the line's head), and each optional field is appended when present."""
-    lines = ["def render(tick, chain, data):"]
+    body = []
     text, args = "tick=%d kind=" + kind + " chain=%s", ["tick", "chain"]
-    for name, type, required in fields:
-        conversion, value = _FORMATS[type]
-        label = " " + name + "=" + conversion
+
+    def run() -> str:       # the pending run as one `%` expression
+        return "%r %% (%s,)" % (text, ", ".join(args))
+
+    for name, of, required in fields:
+        conversion, value = _FORMATS[of]
+        label = " %s=%s" % (name, conversion)
         if required:
             text += label
             args.append(value.format("data[%r]" % name))
             continue
         if args:
-            lines.append("    line %s= %r %% (%s,)" % (
-                "+" if len(lines) > 1 else "", text, ", ".join(args)))
+            body.append(("line += " if body else "line = ") + run())
             text, args = "", []
-        label, value = (label[:-2], " + " + value) if conversion == "%s" \
-            else (label, " % " + value)
-        lines += ["    value = data.get(%r)" % name,
-                  "    if value is not None:",
-                  "        line += %r%s" % (label, value.format("value"))]
-    if not args:
-        lines.append("    return line")
+        body += ["value = data.get(%r)" % name,
+                 "if value is not None:",
+                 "    line += %r %% %s" % (label, value.format("value"))]
+    if args:
+        body.append(("return line + " if body else "return ") + run())
     else:
-        lines.append("    return %s%r %% (%s,)" % (
-            "line + " if len(lines) > 1 else "", text, ", ".join(args)))
-    return "\n".join(lines) + "\n"
+        body.append("return line")
+    return "def render(tick, chain, data):\n    %s\n" % "\n    ".join(body)
 
 
 def _renderer(kind: str, fields: tuple):
