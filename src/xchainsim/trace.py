@@ -99,7 +99,7 @@ _FORMATS = {
 
 
 def _renderer_source(kind: str, fields: tuple) -> str:
-    """Source of `render(tick, chain, data)` for one kind: each run of
+    """Source of `render_<kind>(tick, chain, data)`: each run of
     consecutive required fields is one `%` format (the first one with
     the line's head), and each optional field is appended when present."""
     body = []
@@ -125,15 +125,17 @@ def _renderer_source(kind: str, fields: tuple) -> str:
         body.append(("return line + " if body else "return ") + run())
     else:
         body.append("return line")
-    return "def render(tick, chain, data):\n    %s\n" % "\n    ".join(body)
+    return "def render_%s(tick, chain, data):\n    %s\n" % (
+        kind, "\n    ".join(body))
 
 
 def _renderer(kind: str, fields: tuple):
+    """The compiled renderer of one kind, under its own file name, so
+    that a profile tells the kinds apart."""
     namespace = {"canon": canon}
-    exec(_renderer_source(kind, fields), namespace)
-    render = namespace["render"]
-    render.__qualname__ = render.__name__ = "render_" + kind
-    return render
+    exec(compile(_renderer_source(kind, fields), "<render %s>" % kind,
+                 "exec"), namespace)
+    return namespace["render_" + kind]
 
 
 class memoized:
