@@ -1,8 +1,11 @@
 """Per-chain adapter contracts: the high-level communication interface.
 
-Each adapter is paired with a counterpart on one remote chain and owns
-the sequence numbers and futures for traffic it originates.  Three entry
-points are offered to local contracts:
+Each adapter is paired with a counterpart on one remote chain, which
+fixes its outgoing bridge, its address and its peer's.  It is the only
+way onto that bridge: it records each of its sends into its chain's open
+block, whose seal hands them to the bridge, so no send needs checking.
+It owns the sequence numbers and futures for traffic it originates.
+Three entry points are offered to local contracts:
 
 * ``notify``   - fire-and-forget message, no future;
 * ``anotify``  - message plus acknowledgement of receipt, resolving a
@@ -63,23 +66,21 @@ class Adapter:
 
     def notify(self, caller: Address, data: bytes, dest: Address) -> None:
         self._check_dest(dest)
-        payload = Anotify(origin=caller, data=data, seq=None, dest=dest)
-        self.world.queue_send(self.out_bridge, self.addr, payload, self.peer)
+        self._send(Anotify(origin=caller, data=data, seq=None, dest=dest))
 
     def anotify(self, caller: Address, data: bytes, dest: Address) -> Future:
         self._check_dest(dest)
         future = self._new_future("anotify")
-        payload = Anotify(origin=caller, data=data, seq=future.seq, dest=dest)
-        self.world.queue_send(self.out_bridge, self.addr, payload, self.peer)
+        self._send(Anotify(origin=caller, data=data, seq=future.seq,
+                           dest=dest))
         return future
 
     def rcall(self, caller: Address, target: Address, method: str,
               params: list) -> Future:
         self._check_dest(target)
         future = self._new_future("rcall")
-        payload = Rcall(target=target, method=method, params=tuple(params),
-                        seq=future.seq)
-        self.world.queue_send(self.out_bridge, self.addr, payload, self.peer)
+        self._send(Rcall(target=target, method=method, params=tuple(params),
+                         seq=future.seq))
         return future
 
     # Receiving ----------------------------------------------------------
@@ -97,12 +98,12 @@ class Adapter:
                                payload.origin.chain.encode(),
                                payload.data])
             if payload.seq is not None:
-                self._send_ack(Ack(seq=payload.seq, ok=True))
+                self._send(Ack(seq=payload.seq, ok=True))
         elif isinstance(payload, Rcall):
             outcome = self.chain.invoke(self.addr, payload.target,
                                         payload.method, list(payload.params))
             result = outcome.result if outcome.ok else outcome.reason.encode()
-            self._send_ack(Ack(seq=payload.seq, ok=outcome.ok, result=result))
+            self._send(Ack(seq=payload.seq, ok=outcome.ok, result=result))
         elif isinstance(payload, Ack):
             self._resolve(payload)
         else:
@@ -125,8 +126,9 @@ class Adapter:
         self._future_event(future)
         return future
 
-    def _send_ack(self, ack: Ack) -> None:
-        self.world.queue_send(self.out_bridge, self.addr, ack, self.peer)
+    def _send(self, payload) -> None:
+        self.chain.record_send((self.out_bridge, self.world.next_msg_id(),
+                                self.addr, self.peer, payload))
 
     def _resolve(self, ack: Ack) -> None:
         future = self.futures.pop(ack.seq, None)

@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 property violation, 2 bad argument (argparse),
 configuration error (ScenarioError: an invalid scenario, a scenario file
 that cannot be read, a trace that cannot be written) or output that
 cannot be written to stdout, 3 serializability budget exceeded
-(BudgetExceededError).  Exit 1 is kept for a failed property.
+(BudgetExceededError).  Exit 1 is kept for a failed property.  A
+scenario's errors, its wiring included, are found while it is read and
+built, so its exit 2 comes before tick 0 and `run --out` writes nothing.
 """
 
 from __future__ import annotations
@@ -106,10 +108,25 @@ def _write_trace(trace, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _unstarted(world) -> dict:
+    """What became of each declared transaction with no proposer
+    machine, in declared order: refused, with the reason its propose
+    invoke records, or not proposed."""
+    started = {machine.txn.txid for machine in world.machines}
+    missing = [txid for txid in world.transactions if txid not in started]
+    if not missing:
+        return {}
+    # only the run loop's propose invoke carries a txid
+    err_of = {e.data["txid"]: e.data.get("err") for e in world.trace.events
+              if e.kind == INVOKE and e.data["method"] == "propose"
+              and "txid" in e.data}
+    return {txid: "refused (%s)" % err_of[txid] if txid in err_of
+            else "not proposed" for txid in missing}
+
+
 def _outcome_summary(world) -> list:
     """One line per declared transaction: each proposer machine's, in
-    the order the machines started, then each transaction that has no
-    machine, with the refusal its propose invoke records, if any."""
+    the order the machines started, then each unstarted one's."""
     lines = []
     for machine in world.machines:
         outcome = machine.outcome
@@ -118,15 +135,7 @@ def _outcome_summary(world) -> list:
         elif outcome is None:
             outcome = "unfinished (phase=%s)" % machine.phase
         lines.append("%s: %s" % (machine.txn.txid, outcome))
-    started = {machine.txn.txid for machine in world.machines}
-    missing = [txid for _, txid in world.tx_schedule if txid not in started]
-    if missing:   # only the run loop's propose invoke carries a txid
-        err_of = {e.data["txid"]: e.data.get("err")
-                  for e in world.trace.events if e.kind == INVOKE
-                  and e.data["method"] == "propose" and "txid" in e.data}
-        lines += ["%s: refused (%s)" % (txid, err_of[txid]) if txid in err_of
-                  else "%s: not proposed" % txid for txid in missing]
-    return lines
+    return lines + ["%s: %s" % item for item in _unstarted(world).items()]
 
 
 def cmd_run(args) -> int:
@@ -183,10 +192,11 @@ def cmd_metrics(args) -> int:
         print("%-12s %-12s %8d %8d %8d"
               % (chain_id, row["role"], row["xc_msgs"], row["tx_count"],
                  row["op_cost"]))
+    unstarted = _unstarted(world)
     for txid in sorted(report.per_transaction.keys() | world.transactions):
         row = report.per_transaction.get(txid)
         if row is None:
-            print("txn %s: unfinished" % txid)
+            print("txn %s: %s" % (txid, unstarted.get(txid, "unfinished")))
             continue
         reason = " reason=%s" % row["reason"] if row.get("reason") else ""
         print("txn %s: outcome=%s rounds=%d%s"

@@ -14,6 +14,13 @@ only the chains whose open block holds a record.  A block's index is the
 tick it seals at divided by its chain's `seal_every`, so an empty block
 needs no work to be counted.
 
+A run quiesces, once nothing more is scheduled, when no bridge holds a
+message, no open block a send and no adapter a pending future.  Machines
+need no scan: an unfinished one waits on a remote future, which the
+tick's resolutions, dispatched before the check, left pending.
+`add_transaction` refuses a transaction whose proposer chain lacks the
+adapter pair to a chain it touches, so no ScenarioError comes mid-run.
+
 All nondeterminism (delays, reorder permutations) draws from one seeded
 generator, so a (scenario, seed) pair fully determines the trace.
 
@@ -171,9 +178,16 @@ class World:
         if txn.txid in self.transactions:
             raise ScenarioError("duplicate transaction id %s" % txn.txid)
         validate_transaction(txn, self)
-        if txn.originator.chain not in self.chains:
+        proposer = txn.originator.chain
+        if proposer not in self.chains:
             raise ScenarioError("%s: unknown proposer chain %s"
-                                % (txn.txid, txn.originator.chain))
+                                % (txn.txid, proposer))
+        for chain_id in txn.chains():
+            if chain_id != proposer:
+                try:   # the lookup ProposerMachine._call makes
+                    self.adapter_between(proposer, chain_id)
+                except ScenarioError as err:
+                    raise ScenarioError("%s: %s" % (txn.txid, err)) from None
         self.transactions[txn.txid] = txn
         self.tx_schedule.append((tick, txn.txid))
 
@@ -221,19 +235,6 @@ class World:
     def next_msg_id(self) -> int:
         self._msg_counter += 1
         return self._msg_counter
-
-    def queue_send(self, bridge_id: BridgeId, sender: Address, payload,
-                   dest: Address) -> int:
-        """Record a bridge send on the source chain; the message enters
-        the bridge when the surrounding block seals."""
-        bridge = self.bridges.get(bridge_id)
-        if bridge is None:
-            raise ScenarioError("unknown bridge %s" % bridge_id.canon())
-        bridge.validate_send(sender, dest)
-        msg_id = self.next_msg_id()
-        self.chains[bridge_id.src].record_send(
-            (bridge_id, msg_id, sender, dest, payload))
-        return msg_id
 
     # Run loop -----------------------------------------------------------
 
@@ -323,13 +324,9 @@ class World:
                 "dest": dest, "block": block, "payload": payload})
 
     def quiescent(self) -> bool:
-        if any(self.bridges[b].queue for b in self.active_bridges):
-            return False
-        if any(self.chains[c].sends for c in self.open_chains):
-            return False
-        if any(not m.done for m in self.machines):
-            return False
-        return self.pending_futures == 0
+        return (self.pending_futures == 0
+                and not any(self.bridges[b].queue for b in self.active_bridges)
+                and not any(self.chains[c].sends for c in self.open_chains))
 
     # Adversary ------------------------------------------------------------
 

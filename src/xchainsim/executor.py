@@ -224,10 +224,6 @@ class ProposerMachine:
             self._resume(self._batch_ok)
 
     @property
-    def done(self) -> bool:
-        return self.phase == DONE
-
-    @property
     def outcome(self) -> Optional[str]:
         if self.phase != DONE:
             return None

@@ -15,9 +15,12 @@ from .chain import Address, Contract, MethodFailure
 
 
 def _as_name(value) -> str:
-    if isinstance(value, bytes):
+    if not isinstance(value, bytes):
+        raise MethodFailure("BadParams")
+    try:
         return value.decode("utf-8")
-    raise MethodFailure("BadParams")
+    except UnicodeDecodeError:
+        raise MethodFailure("BadParams") from None
 
 
 def _as_int(value) -> int:

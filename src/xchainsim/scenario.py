@@ -12,9 +12,10 @@ keys an injection or a payload has depends on its op or type.
 Each transaction is built, and its action order and ids checked, once
 as the file is read; every world built from the scenario shares it.
 `build_world` turns the result plus a seed into a runnable World, and
-rejects what needs a world: a missing contract or method, an adversary
-entry naming a missing chain or bridge, or a bridge that is not
-adversarial.  A bare name that is no file names a bundled scenario,
+rejects what needs a world: a missing contract or method, a transaction
+whose proposer chain has no adapter pair with a chain it touches, an
+adversary entry naming a missing chain or bridge, or a bridge that is
+not adversarial.  A bare name that is no file names a bundled scenario,
 looked up under the package's ``scenarios/`` directory.
 
 A file is read as UTF-8 whatever the locale; one that cannot be read or

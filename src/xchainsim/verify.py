@@ -2,12 +2,13 @@
 
 All checkers consume a finished Trace (events plus the initial and final
 contract snapshots the engine embeds in it) and return a Verdict.  The
-secure-transfer audit joins deliveries against sealed send records; the
-all-or-nothing audit replays committed transactions through the
-sequential reference execution and compares scoped state byte for byte;
-the strict-serializability checker searches exhaustively for a
-reordering of the mutating events into non-overlapping transaction
-blocks that replays to the observed final state.
+secure-transfer audit joins each delivery, in one pass, against the
+sealed send records before it; the all-or-nothing audit replays
+committed transactions through the sequential reference execution and
+compares scoped state byte for byte; the strict-serializability checker
+searches exhaustively for a reordering of the mutating events into
+non-overlapping transaction blocks that replays to the observed final
+state.
 
 Replay uses one world rebuilt from the initial snapshot.  The search
 gives every mutating event one bit and a need mask, the events that
@@ -108,13 +109,15 @@ class Verdict:
 
 
 def check_secure_transfer(trace: Trace) -> Verdict:
+    """One pass: a send is recorded when its block seals and is due a
+    tick later at the earliest, and a forge has no send, so a delivery
+    can match only a send met before it."""
     violations = []
     sends = {}
+    delivered: dict[int, int] = {}
     for index, event in enumerate(trace.events):
         if event.kind == SEND:
             sends[event.data["msgid"]] = (index, event)
-    delivered: dict[int, int] = {}
-    for index, event in enumerate(trace.events):
         if event.kind != RECV:
             continue
         msg_id = event.data["msgid"]

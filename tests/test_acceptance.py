@@ -42,7 +42,7 @@ def _run_loaded(scenario, seed, lock_order=None, injections=()):
     for injection in injections:
         world.add_injection(injection)
     trace = world.run(scenario.stop)
-    txns = [world.transactions[txid] for _, txid in world.tx_schedule]
+    txns = list(world.transactions.values())
     return world, trace, txns
 
 
@@ -80,8 +80,7 @@ def interference_sweep():
             for injection in eve(world):
                 world.add_injection(injection)
             trace = world.run(scenario.stop)
-            txns = [world.transactions[txid]
-                    for _, txid in world.tx_schedule]
+            txns = list(world.transactions.values())
             results.append({
                 "name": name, "seed": seed,
                 "st": check_secure_transfer(trace),

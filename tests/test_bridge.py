@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from xchainsim import Address, NotAdversarialBridge, ScenarioError
+from xchainsim import Address, NotAdversarialBridge
 from xchainsim.bridge import Ack, Bridge, BridgeId, BridgeMessage, BridgePolicy
 
 
@@ -25,13 +25,6 @@ def test_origin_block_bound_at_seal(two_chain_world):
     world._seal_chain(chain, 1)  # block 1 carries both sends
     queued = world.bridges[BridgeId("left", "right")].queue
     assert [q.message.origin_block for q in queued] == [1, 1]
-
-
-def test_send_to_wrong_chain_rejected(two_chain_world):
-    world = two_chain_world
-    bridge = world.bridges[BridgeId("left", "right")]
-    with pytest.raises(ScenarioError):
-        bridge.validate_send(Address("left", "p"), Address("left", "q"))
 
 
 def test_delay_within_bounds_and_fifo_no_overtake():

@@ -315,6 +315,52 @@ def test_run_prints_a_line_for_every_transaction(tick, max_ticks, lines,
     assert capsys.readouterr().out.splitlines()[-2:] == lines[:2]
 
 
+def test_metrics_names_a_refused_and_an_unproposed_transaction(tmp_path,
+                                                               capsys):
+    # metrics says of a transaction with no outcome what run says of it
+    path = tmp_path / "busy.yaml"
+    path.write_text(BUSY_SCENARIO % {"tick": 1, "max_ticks": 40} + """\
+  - {txid: t3, proposer: a, originator: alice, tick: 100, actions: [
+      {chain: a, target: token, method: transfer, params: [alice, bob, 1]}]}
+""")
+    assert main(["metrics", "--scenario", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "txn t1: outcome=Committed rounds=1",
+        "txn t2: refused (ExecutorBusy)", "txn t3: not proposed"]
+    assert main(["run", "--scenario", str(path), "--out",
+                 str(tmp_path / "t.trace")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "t1: Committed", "t2: refused (ExecutorBusy)", "t3: not proposed",
+        "quiesced=False end_tick=39"]
+
+
+UNPAIRED_SCENARIO = """\
+chains:
+  - {id: a, contracts: [{local: token, init: {alice: 5}}]}
+  - {id: b, contracts: [{local: token, init: {bob: 5}}]}
+transactions:
+  - {txid: t1, proposer: a, originator: alice, actions: [
+      {chain: a, target: token, method: transfer, params: [alice, bob, 1]},
+      {chain: b, target: token, method: transfer, params: [bob, alice, 1]}]}
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "check", "metrics", "sweep"])
+def test_unpaired_transaction_exits_2_before_the_run(command, tmp_path,
+                                                     capsys, monkeypatch):
+    path, out = tmp_path / "unpaired.yaml", tmp_path / "u.trace"
+    path.write_text(UNPAIRED_SCENARIO)
+    ran = []
+    monkeypatch.setattr(World, "run", lambda *args: ran.append(args))
+    argv = [command, "--scenario", str(path)]
+    if command == "run":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and ran == [] and not out.exists()
+    assert captured.err == "error: t1: no adapter pair between a and b\n"
+
+
 def test_check_passes_a_write_that_changes_only_a_type(tmp_path, capsys):
     # count goes from True to 1, which == calls no change; the replay
     # must still start incr from 1, not from True

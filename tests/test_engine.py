@@ -6,11 +6,11 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xchainsim import (Address, Injection, ScenarioError, ValidationError,
-                       World, build_world, bundled_scenarios, load_scenario,
-                       parse_scenario)
+from xchainsim import (Address, Injection, ScenarioError, StopCondition,
+                       ValidationError, World, build_world, bundled_scenarios,
+                       load_scenario, parse_scenario)
 from xchainsim.bridge import Ack, BridgeId
-from xchainsim.trace import OUTCOME, RECV, SEND
+from xchainsim.trace import INVOKE, OUTCOME, RECV, SEND
 
 BUNDLED = ["adversary-drop", "adversary-forge", "swap", "swap-lockfail",
            "swap-updatefail", "symmetric-conflict", "three-exchange"]
@@ -45,7 +45,7 @@ def test_quiesce_waits_for_everything():
     world.run(scenario.stop)
     assert world.quiesced
     assert all(not b.queue for b in world.bridges.values())
-    assert all(m.done for m in world.machines)
+    assert all(m.outcome is not None for m in world.machines)
     # an adapter keeps a future only while it is pending
     assert all(a.futures == {} for a in world.adapters.values())
 
@@ -135,6 +135,97 @@ def test_pending_future_count_matches_a_scan():
     world.run(scenario.stop)
     assert world.quiesced and len(counts) == world.end_tick + 1
     assert max(counts) > 0 and counts[-1] == 0
+
+
+@pytest.mark.parametrize("name", ["mesh6"] + BUNDLED)
+@pytest.mark.parametrize("seed", range(3))
+def test_no_pending_future_means_every_machine_is_done(name, seed):
+    # quiescence asks no machine: one that has not finished waits on a
+    # remote future, which is still pending at the check.  Every run
+    # checks for quiescence, adversary-drop's too, which never quiesces.
+    if name == "mesh6":
+        scenario = parse_scenario(mesh(6))
+    else:
+        scenario = load_scenario(name)
+    world = build_world(scenario, seed=seed)
+    quiescent, checks = world.quiescent, []
+
+    def checked() -> bool:
+        done = all(m.outcome is not None for m in world.machines)
+        assert done or world.pending_futures, world.trace.tick
+        checks.append(done)
+        return quiescent()
+
+    world.quiescent = checked
+    world.run(StopCondition(quiesce=True, max_ticks=scenario.stop.max_ticks))
+    assert checks and world.machines
+
+
+def unpaired(bridges: list, chains: tuple) -> dict:
+    """Chains a, b and c with a token each, `bridges`, and a transaction
+    proposed on a with a transfer on each of `chains`."""
+    return {"name": "unpaired",
+            "chains": [{"id": c, "contracts": [
+                {"local": "token", "init": {"alice": 5}}]}
+                for c in ("a", "b", "c")],
+            "bridges": bridges,
+            "transactions": [{"txid": "t1", "proposer": "a",
+                              "originator": "alice", "actions": [
+                                  {"chain": c, "target": "token",
+                                   "method": "transfer",
+                                   "params": ["alice", "bob", 1]}
+                                  for c in chains]}]}
+
+
+def pair(src: str, dst: str, tag: int = 0) -> list:
+    return [{"src": src, "dst": dst, "tag": tag},
+            {"src": dst, "dst": src, "tag": tag}]
+
+
+@pytest.mark.parametrize("bridges,chains,missing", [
+    ([], ("a", "b"), "b"),
+    (pair("a", "b")[:1], ("a", "b"), "b"),
+    (pair("a", "b")[1:], ("a", "b"), "b"),
+    (pair("a", "b", tag=1), ("a", "b"), "b"),
+    (pair("a", "b") + pair("b", "c"), ("a", "b", "c"), "c"),
+    (pair("a", "c"), ("b", "a", "c"), "b"),
+    ([], ("a",), None),
+    (pair("a", "b") + pair("a", "c"), ("a", "b", "c"), None),
+], ids=["no-bridge", "a-to-b-only", "b-to-a-only", "tag-1-pair-only",
+        "pair-beyond-the-proposer", "one-of-two-pairs", "proposer-only",
+        "every-pair"])
+def test_a_transaction_needs_the_adapter_pair_to_each_chain_it_touches(
+        bridges, chains, missing):
+    # the pair its proposer calls through is checked at build, so no
+    # ScenarioError comes from the run
+    scenario = parse_scenario(unpaired(bridges, chains))
+    if missing is not None:
+        with pytest.raises(ScenarioError, match="^t1: no adapter pair "
+                           "between a and %s$" % missing):
+            build_world(scenario)
+        return
+    world = build_world(scenario)
+    world.run(scenario.stop)
+    assert world.quiesced and world.machines[0].outcome == "Committed"
+
+
+@pytest.mark.parametrize("tick", [0, 30])
+def test_a_name_that_is_not_utf8_is_bad_params(tick):
+    # no injection stops a run with an exception
+    scenario = load_scenario("swap")
+    world = build_world(scenario, seed=0)
+    eve, token = Address("fantom", "eve"), Address("fantom", "token")
+    for method, params in (("transfer", [b"\xff", b"bob", 1]),
+                           ("mint", [b"\xff", 1])):
+        world.add_injection(Injection(tick=tick, op="invoke", chain="fantom",
+                                      caller=eve, target=token,
+                                      method=method, params=params))
+    trace = world.run(scenario.stop)
+    assert world.quiesced and world.machines[0].outcome == "Committed"
+    assert [(e.tick, e.data["method"], e.data["err"])
+            for e in trace.events
+            if e.kind == INVOKE and e.data["caller"] == eve] == [
+        (tick, "transfer", "BadParams"), (tick, "mint", "BadParams")]
 
 
 def _adversarial_world() -> World:

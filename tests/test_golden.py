@@ -95,7 +95,7 @@ def run(case: str):
         for injection in eve(world):
             world.add_injection(injection)
     trace = world.run(scenario.stop)
-    return trace, [world.transactions[txid] for _, txid in world.tx_schedule]
+    return trace, list(world.transactions.values())
 
 
 def render(case: str) -> bytes:

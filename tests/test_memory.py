@@ -72,7 +72,7 @@ def test_run_and_checkers_leave_no_cyclic_garbage(name, interfere):
             for injection in eve(world):
                 world.add_injection(injection)
         trace = world.run(scenario.stop)
-        txns = [world.transactions[txid] for _, txid in world.tx_schedule]
+        txns = list(world.transactions.values())
         check_secure_transfer(trace)
         try:
             check_all_or_nothing(trace, txns)

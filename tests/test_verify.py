@@ -32,7 +32,7 @@ def run_bundled(name, seed=0, injections=(), lock_order=None):
     for injection in injections:
         world.add_injection(injection)
     trace = world.run(scenario.stop)
-    txns = [world.transactions[txid] for _, txid in world.tx_schedule]
+    txns = list(world.transactions.values())
     return world, trace, txns
 
 
@@ -332,7 +332,7 @@ def test_abort_after_locking_a_contract_without_variables_serializes():
     scenario = parse_scenario(raw)
     world = build_world(scenario, seed=0)
     trace = world.run(scenario.stop)
-    txns = [world.transactions[txid] for _, txid in world.tx_schedule]
+    txns = list(world.transactions.values())
     assert (world.machines[0].outcome, world.machines[0].reason) == \
         ("Aborted", "OpFailed")
     assert check_all_or_nothing(trace, txns).passed
@@ -615,7 +615,7 @@ def disjoint_swaps(count, seed=0):
                                "transactions": transactions})
     world = build_world(scenario, seed=seed)
     trace = world.run(scenario.stop)
-    return trace, [world.transactions[txid] for _, txid in world.tx_schedule]
+    return trace, list(world.transactions.values())
 
 
 def run_swap_prec(seed, prec):
