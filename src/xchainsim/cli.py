@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 property violation, 2 bad argument (argparse),
 configuration error (ScenarioError: an invalid scenario, a scenario file
 that cannot be read, a trace that cannot be written) or output that
 cannot be written to stdout, 3 serializability budget exceeded
-(BudgetExceededError).  Exit 1 is kept for a failed property.  A
+(BudgetExceededError: the lock-point order failed and the search it
+falls back to has more mutating events than --budget).  Exit 1 is kept
+for a failed property.  A
 scenario's errors, its wiring included, are found while it is read and
 built, so its exit 2 comes before tick 0 and `run --out` writes nothing.
 """
@@ -81,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="trace output path")
     for p in (check, sweep):
         p.add_argument("--budget", type=_int_at_least(0), default=14,
-                       help="mutating-event budget for the "
-                            "serializability search")
+                       help="mutating-event budget for the exhaustive "
+                            "serializability search, run only when the "
+                            "lock-point order fails")
     sweep.add_argument("--seeds", type=_int_at_least(1), default=100,
                        help="number of seeds, starting at --seed")
     return parser

@@ -6,15 +6,26 @@ secure-transfer audit joins each delivery, in one pass, against the
 sealed send records before it; the all-or-nothing audit replays
 committed transactions through the sequential reference execution and
 compares scoped state byte for byte; the strict-serializability checker
-searches exhaustively for a reordering of the mutating events into
-non-overlapping transaction blocks that replays to the observed final
-state.
+looks for a reordering of the mutating events into non-overlapping
+transaction blocks that replays to the observed final state.
 
-Replay uses one world rebuilt from the initial snapshot.  The search
-gives every mutating event one bit and a need mask, the events that
-program, layer, actor and real-time order put before it; its progress is
-one mask of placed events plus the open transaction.  It replays each
-event on its target contract alone, which records nothing.
+Serializability is checked certificate first.  The protocol is strict
+two-phase locking: a transaction locks its whole scope before its first
+action and unlocks only after its outcome, and under two-phase locking
+the order of the lock points serializes every committed history
+(Eswaran, Gray, Lorie and Traiger, CACM 1976).  So one candidate order
+is built from the trace and validated in linear time: its rules in
+one pass, then a single replay.  A candidate that validates is a witness.
+Deciding serializability is NP-complete in general (Papadimitriou, JACM
+1979), so a candidate that fails falls back to an exhaustive search,
+which alone decides the verdict then.
+
+Replay uses one world rebuilt from the initial snapshot; the search
+starts from that world restored to its initial state.  The search gives
+every mutating event one bit and a need mask, the events that program,
+layer, actor and real-time order put before it; its progress is one
+mask of placed events plus the open transaction.  It replays each event
+on its target contract alone, which records nothing.
 
 A search step costs one contract, not the whole world.  A state is one
 interned number per contract_entry(), in World.state() order.  A step's
@@ -33,14 +44,15 @@ tuple of entry numbers, the placed mask and the open transaction.  The
 search keeps an explicit stack with one frame per placed event, so a
 trace of any depth is checked without recursion.
 
-The same fact prunes the search.  A contract's entry changes only
-through events that target it, so once the last of them is placed its
-variables are final on every extension of the branch.  The step that
-places it cuts the branch when they differ from the observed final
-variables, and a contract that no mutating event touches must equal
-them before the search starts.  A branch that places every event is
-then a witness, and no branch with one is cut, so the search meets its
-witnesses in the same order as one that compares only at the leaves.
+The same fact prunes the search and checks the candidate.  A contract's
+entry changes only through events that target it, so once the last of
+them is placed its variables are final on every extension of the
+branch.  The step that places it cuts the branch when they differ from
+the observed final variables, and a contract that no mutating event
+touches must equal them before the search starts.  A branch that
+places every event is then a witness, and no branch with one is cut, so
+the search meets its witnesses in the same order as one that compares
+only at the leaves.
 """
 
 from __future__ import annotations
@@ -68,7 +80,8 @@ class MissingOutcomeError(Exception):
 
 
 class BudgetExceededError(Exception):
-    """Trace has more mutating events than the search budget allows."""
+    """The lock-point order failed, and the trace has more mutating
+    events than the budget of the search that follows allows."""
 
 
 @dataclass
@@ -343,7 +356,7 @@ def _replay_one(contract, ev: _MutEvent) -> bool:
 
 def check_strict_serializability(trace: Trace, transactions: list,
                                  budget: int = 14) -> Verdict:
-    """Exhaustive witness search over placed-event masks, memoized.
+    """Lock-point order first, then an exhaustive search, memoized.
 
     A witness is an ordering of all mutating events such that (1) events
     of one transaction keep their per-chain order and their layer order,
@@ -352,6 +365,99 @@ def check_strict_serializability(trace: Trace, transactions: list,
     (4) independent actors keep their own per-chain order, and (5)
     replaying the ordering from the initial snapshot reproduces every
     contract's observed final variables.
+
+    The first order tried is the lock-point order (_lock_point_order),
+    the one strict two-phase locking serializes an honest run by.  It is
+    checked against all five conditions in one pass and one replay; if
+    it keeps them it is a witness and the verdict passes with it.  Else
+    the replay world is restored to its initial state and _search
+    decides, so no verdict depends on the candidate, only a witness.
+    The budget bounds only that search: a trace whose candidate
+    validates is checked at any size.
+    """
+    events, windows = _extract_mutating(trace, transactions)
+    world = build_replay_world(trace)
+    initial = world.state()
+    # Keyed by (chain, local) tuples, which an Address equals.
+    final = {key: vars_key(v) for key, v in trace.final_vars().items()}
+    witness = _lock_point_order(events, windows, world, initial, final)
+    if witness is not None:
+        return Verdict(True, [], witness=witness)
+    world.restore(initial)
+    return _search(events, windows, transactions, world, initial, final,
+                   budget)
+
+
+def _lock_point_order(events: list, windows: dict, world: World,
+                      initial: tuple, final: dict) -> Optional[list]:
+    """The trace indices of the lock-point order if it is a witness, else
+    None; `world` is the replay world, in its `initial` state.
+
+    Each transaction's events form one block at its lock point, the
+    trace index of its last successful lock, or of its first mutating
+    event if it takes no lock; each independent actor's event is a block
+    of its own at its trace index; events keep trace order inside a
+    block.  That order keeps per-chain and actor order (1, 4) and
+    contiguity (2) by construction.  Layer order (1) holds when no
+    block's layers go down, real-time order (3) when no block is
+    followed by one that ended before it was proposed, and (5) when one
+    replay refuses no step and leaves each contract at its final vars
+    once its last event is replayed.  These are the rules the search
+    enforces, so the candidate passes only where the search does.
+    """
+    blocks: dict = {}               # txid -> its events, in trace order
+    point: dict = {}                # txid -> the trace index of its point
+    for ev in events:
+        if ev.txid is not None:
+            blocks.setdefault(ev.txid, []).append(ev)
+            if ev.kind == "lock" or ev.txid not in point:
+                point[ev.txid] = ev.index
+    order = []                      # the events in candidate order
+    placed = []                     # the transactions in candidate order
+    for ev in events:
+        if ev.txid is None:
+            order.append(ev)
+        elif ev.index == point[ev.txid]:
+            order += blocks[ev.txid]
+            placed.append(ev.txid)
+
+    for block in blocks.values():
+        layers = [ev.layer for ev in block if ev.layer is not None]
+        if layers != sorted(layers):
+            return None
+    least = None                    # least outcome tick of the later blocks
+    for txid in reversed(placed):
+        start, end = windows[txid]
+        if least is not None and start is not None and least < start:
+            return None
+        if end is not None and (least is None or end < least):
+            least = end
+
+    left: dict = {}                 # target -> its events not yet replayed
+    for ev in events:
+        left[ev.target] = left.get(ev.target, 0) + 1
+    contracts = {}
+    for addr, key, _, _ in initial:
+        if addr not in left and key != final.get(addr):
+            return None
+        contracts[addr] = world.contract(addr)
+    for ev in order:
+        contract = contracts.get(ev.target)
+        if contract is None or not _replay_one(contract, ev):
+            return None
+        left[ev.target] -= 1
+        if not left[ev.target] and vars_key(contract.vars) != final.get(
+                ev.target):
+            return None
+    return [ev.index for ev in order]
+
+
+def _search(events: list, windows: dict, transactions: list, world: World,
+            initial: tuple, final: dict, budget: int) -> Verdict:
+    """Exhaustive witness search over placed-event masks, memoized;
+    `world` is the replay world, in its `initial` state.  Raises
+    BudgetExceededError when there are more mutating events than
+    `budget`.
 
     Each event gets one bit, in candidate order: independent actors by
     (chain, actor), then transactions in declaration order, each in trace
@@ -383,7 +489,6 @@ def check_strict_serializability(trace: Trace, transactions: list,
     the same order, so every witness and verdict is the one a search
     that compared the whole state at each leaf would return.
     """
-    events, windows = _extract_mutating(trace, transactions)
     if len(events) > budget:
         raise BudgetExceededError(
             "%d mutating events exceed the budget of %d"
@@ -428,10 +533,6 @@ def check_strict_serializability(trace: Trace, transactions: list,
                     mask |= bits
         need.append(mask)
 
-    world = build_replay_world(trace)
-    # Keyed by (chain, local) tuples, which an Address equals.
-    final = {key: vars_key(v) for key, v in trace.final_vars().items()}
-
     # A state is one entry number per contract, in World.state() order;
     # equal entries share a number, so states compare and hash as ints.
     table: list = []                # number -> contract entry
@@ -444,7 +545,7 @@ def check_strict_serializability(trace: Trace, transactions: list,
             table.append(entry)
         return number
 
-    start = tuple(intern(entry) for entry in world.state())
+    start = tuple(intern(entry) for entry in initial)
     slot = {table[n][0]: p for p, n in enumerate(start)}
     contracts = [world.contract(addr) for addr in slot]
     where = [slot.get(ev.target) for ev in events]

@@ -12,6 +12,7 @@ from xchainsim import ScenarioError, ValidationError, World, parse_scenario
 from xchainsim import scenario
 from xchainsim.cli import main
 from test_scenario import assert_loads_alike
+from test_verify import doctor_balance
 
 
 @pytest.fixture(autouse=True)
@@ -82,13 +83,36 @@ def test_check_adversarial_scenarios_exit_1(capsys):
     assert "secure-transfer-liveness" in out
 
 
-def test_check_budget_exceeded_exits_3(capsys):
+@pytest.fixture
+def doctored_runs(monkeypatch):
+    """Every run ends with a doctored final balance, so its lock-point
+    order fails and the serializability search, which alone the budget
+    bounds, runs."""
+    run = World.run
+
+    def doctored(self, *args, **kwargs):
+        trace = run(self, *args, **kwargs)
+        doctor_balance(trace)
+        return trace
+
+    monkeypatch.setattr(World, "run", doctored)
+
+
+def test_check_budget_exceeded_exits_3(doctored_runs, capsys):
     assert main(["check", "--scenario", "three-exchange",
                  "--budget", "2"]) == 3
     assert "budget" in capsys.readouterr().err
 
 
-def test_check_writes_its_trace_before_exit_3(tmp_path, capsys):
+def test_check_budget_bounds_only_the_search(capsys):
+    # the honest run's lock-point order validates, so no search runs
+    assert main(["check", "--scenario", "three-exchange",
+                 "--budget", "2"]) == 0
+    assert capsys.readouterr().out.count("pass=b1") == 3
+
+
+def test_check_writes_its_trace_before_exit_3(doctored_runs, tmp_path,
+                                              capsys):
     checked, ran = tmp_path / "check.log", tmp_path / "run.log"
     assert main(["check", "--scenario", "swap", "--seed", "7",
                  "--budget", "2", "--out", str(checked)]) == 3
@@ -413,7 +437,8 @@ def test_scenario_error_in_a_run_exits_2(command, monkeypatch, capsys):
     assert captured.err == "error: no adapter pair between a and b\n"
 
 
-def test_sweep_budget_exceeded_names_seed_and_exits_3(capsys):
+def test_sweep_budget_exceeded_names_seed_and_exits_3(doctored_runs,
+                                                      capsys):
     assert main(["sweep", "--scenario", "three-exchange", "--seed", "5",
                  "--seeds", "3", "--budget", "2"]) == 3
     captured = capsys.readouterr()

@@ -46,9 +46,10 @@ def eve(world) -> list:
 
 
 # Two actors write one counter next to a swap; zed's set lands first, so
-# the final count is amy's.  Actors are tried in (chain, actor) order, so
-# the search places amy's set first, fails to reach the final state and
-# has to backtrack to a witness.
+# the final count is amy's.  The checker's lock-point order keeps trace
+# order and passes at once.  Actors are tried in (chain, actor) order, so
+# the search alone places amy's set first, fails to reach the final state
+# and has to backtrack to a witness (tests/test_verify.py pins it).
 BACKTRACK = {
     "name": "backtrack",
     "chains": [

@@ -174,3 +174,24 @@ def test_memory_beside_the_trace_is_flat_per_transaction():
 
     assert cyclic_garbage(work) == 0
     assert held[1000] <= 1.1 * held[250], held
+
+
+def test_honest_scale_trace_passes_serializability_in_little_memory():
+    # K=8, T=2000 at seed 0: 7,766 mutating events, far above the default
+    # budget of 14, so only the lock-point order can pass it.  Measured on
+    # CPython 3.11, the check's traced peak was 2.4-2.7 MB at seeds 0-3,
+    # where the run's world and trace hold about 22 MB and the search
+    # alone peaked at 27 MB.  The 5 MB bound fails a check that keeps
+    # more than a few small objects per event.
+    scenario = parse_scenario(swaps(8, 2000, seed=0))
+    world = build_world(scenario, seed=0)
+    trace = world.run(scenario.stop)
+    txns = list(world.transactions.values())
+    tracemalloc.start()
+    try:
+        verdict = check_strict_serializability(trace, txns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed and len(verdict.witness) == 7766
+    assert peak < 5 * 2 ** 20, peak

@@ -3,7 +3,6 @@ its hand-built violating fixtures with the right violation kind."""
 
 import dataclasses
 import random
-from itertools import permutations
 
 import pytest
 
@@ -14,11 +13,13 @@ from xchainsim import (Address, BudgetExceededError, Injection,
                        load_scenario, parse_scenario)
 from xchainsim import verify
 from xchainsim.bridge import ADVERSARIAL, Ack, BridgeId
-from xchainsim.chain import same_vars
-from xchainsim.trace import INVOKE, LOCK, OUTCOME, UNLOCK, ContractSnapshot
+from xchainsim.chain import vars_key
+from xchainsim.trace import INVOKE, LOCK, UNLOCK, ContractSnapshot
 from xchainsim.verify import (ALL_OR_NOTHING, EXACTLY_ONCE, LIVENESS, SAFETY,
                               SERIALIZABILITY)
 
+from oracles import (assert_valid_witness, brute_force_serializable,
+                     exhaustive_serializable, witness_rules)
 from test_golden import CASES, eve, run
 
 
@@ -214,15 +215,39 @@ def test_witness_found_under_interference():
 
 
 def test_budget_exceeded_raises():
+    # the budget bounds only the search, so the doctored balance makes
+    # the lock-point order fail and the search run
     injections = [Injection(tick=t, op="invoke", chain="fantom",
                             caller=Address("fantom", "eve"),
                             target=Address("fantom", "side"),
                             method="incr", params=[1])
                   for t in range(12)]
     _, trace, txns = run_bundled("swap", seed=1, injections=injections)
+    assert check_strict_serializability(trace, txns, budget=14).passed
+    doctor_balance(trace)
     with pytest.raises(BudgetExceededError):
         check_strict_serializability(trace, txns, budget=14)
-    assert check_strict_serializability(trace, txns, budget=20).passed
+    assert not check_strict_serializability(trace, txns, budget=20).passed
+
+
+def search(trace, txns, budget=14):
+    """The exhaustive search alone, on the replay world in its initial
+    state, as check_strict_serializability runs it when the lock-point
+    order fails."""
+    events, windows = verify._extract_mutating(trace, txns)
+    world = verify.build_replay_world(trace)
+    final = {key: vars_key(v) for key, v in trace.final_vars().items()}
+    return verify._search(events, windows, txns, world, world.state(), final,
+                          budget)
+
+
+def lock_point_order(trace, txns):
+    """The lock-point order's witness, or None where it fails."""
+    events, windows = verify._extract_mutating(trace, txns)
+    world = verify.build_replay_world(trace)
+    final = {key: vars_key(v) for key, v in trace.final_vars().items()}
+    return verify._lock_point_order(events, windows, world, world.state(),
+                                    final)
 
 
 def _deep_trace():
@@ -394,142 +419,6 @@ def test_state_round_trip_keeps_lock_owner_and_empty_checkpoint():
     assert world.state() == unlocked
 
 
-def witness_rules(trace, txns):
-    """The rules a serializability witness keeps, read from the trace
-    directly: the mutating events in trace order, one block per
-    transaction that must stay contiguous, and (earlier, later, rule)
-    pairs for per-chain order inside each transaction and each
-    independent actor, layer order inside a transaction and real-time
-    order between transactions.
-
-    A transaction's action invokes, writing or not, are matched to its
-    actions one to one, in trace order, against the actions taken layer
-    by layer: a round starts only after the one before it completes, so
-    a repeated action gets the layer of its own run."""
-    events = trace.events
-    mutating = [i for i, e in enumerate(events)
-                if (e.kind == INVOKE and e.data.get("writes"))
-                or (e.kind in (LOCK, UNLOCK) and e.data["ok"])]
-    by_txid = {t.txid: t for t in txns}
-    groups = {}          # txid, or (chain, actor) -> indices in trace order
-    for index in mutating:
-        data = events[index].data
-        txid = data.get("txid")
-        key = txid if txid in by_txid else \
-            (events[index].chain,
-             txid or data.get("actor") or data["caller"].canon())
-        groups.setdefault(key, []).append(index)
-
-    pairs = []
-    for key, indices in groups.items():
-        for n, a in enumerate(indices):
-            pairs += [(a, b, (key, events[a].chain)) for b in indices[n + 1:]
-                      if events[b].chain == events[a].chain]
-
-    layer = {}           # action invoke index -> its action's layer
-    for txn in txns:
-        unmatched = [(action, n) for n, actions in enumerate(txn.layers)
-                     for action in actions]
-        for index, e in enumerate(events):
-            if e.kind != INVOKE or e.data.get("txid") != txn.txid:
-                continue
-            for n, (action, layer_no) in enumerate(unmatched):
-                if (action.target, action.method, tuple(action.params)) == \
-                        (e.data["target"], e.data["method"],
-                         tuple(e.data["params"])):
-                    layer[index] = layer_no
-                    del unmatched[n]
-                    break
-        own = [i for i in groups.get(txn.txid, ()) if i in layer]
-        pairs += [(a, b, (txn.txid, "layer")) for a in own for b in own
-                  if layer[a] < layer[b]]
-
-    start, end = {}, {}
-    for e in events:
-        if e.kind == INVOKE and e.data.get("method") == "propose":
-            start.setdefault(e.data.get("txid"), e.tick)
-        elif e.kind == OUTCOME:
-            end[e.data["txid"]] = e.tick
-    for a in groups:
-        for b in groups:
-            if a in end and b in start and end[a] < start[b]:
-                pairs += [(x, y, (a, b)) for x in groups[a] for y in groups[b]]
-    blocks = {key: indices for key, indices in groups.items()
-              if key in by_txid}
-    return mutating, blocks, pairs
-
-
-def broken_rule(blocks, pairs, order):
-    """The first rule of witness_rules that `order` breaks, or None."""
-    position = {index: pos for pos, index in enumerate(order)}
-    for txid, block in blocks.items():
-        spots = [position[i] for i in block]
-        if max(spots) - min(spots) != len(spots) - 1:
-            return (txid, "contiguous")
-    for a, b, rule in pairs:
-        if position[a] > position[b]:
-            return rule
-    return None
-
-
-def replay_event(world, e) -> bool:
-    """Replay one trace event through its chain; False if refused or
-    failed."""
-    chain = world.chains[e.chain]
-    if e.kind == LOCK:
-        outcome = chain.lock(e.data["caller"], e.data["target"])
-    elif e.kind == UNLOCK:
-        outcome = chain.unlock(e.data["caller"], e.data["target"],
-                               bool(e.data["failure"]))
-    else:
-        outcome = chain.invoke(e.data["caller"], e.data["target"],
-                               e.data["method"], list(e.data["params"]))
-    return outcome.ok
-
-
-def final_vars_of(world) -> dict:
-    return {(s.chain, s.local): s.vars for s in world.snapshot()}
-
-
-def same_final_vars(reached, final: dict) -> bool:
-    """Whether `reached`, a result of replay_order, is the final vars
-    `final`, each contract's compared by same_vars: True is not 1."""
-    return isinstance(reached, dict) and reached.keys() == final.keys() \
-        and all(same_vars(reached[key], final[key]) for key in final)
-
-
-def replay_order(trace, txns, order):
-    """Replay `order` through the chains of a world rebuilt from the
-    initial snapshot: the final vars it reaches, or the index of the
-    first event the chain refuses or fails."""
-    world = verify.build_replay_world(trace)
-    for index in order:
-        if not replay_event(world, trace.events[index]):
-            return index
-    return final_vars_of(world)
-
-
-def assert_valid_witness(trace, txns, witness):
-    """Check a serializability witness against the trace directly: a
-    permutation of the mutating events that keeps every rule of
-    witness_rules and replays to the observed final vars."""
-    mutating, blocks, pairs = witness_rules(trace, txns)
-    assert sorted(witness) == mutating
-    assert broken_rule(blocks, pairs, witness) is None
-    reached = replay_order(trace, txns, witness)
-    assert same_final_vars(reached, trace.final_vars()), reached
-
-
-def brute_force_serializable(trace, txns) -> bool:
-    """Test oracle: try every order of the mutating events and accept one
-    that keeps the rules and replays to the observed final vars."""
-    mutating, blocks, pairs = witness_rules(trace, txns)
-    final = trace.final_vars()
-    return any(broken_rule(blocks, pairs, order) is None
-               and same_final_vars(replay_order(trace, txns, order), final)
-               for order in permutations(mutating))
-
-
 @pytest.mark.parametrize(
     "case", CASES + ["mesh6-reorder@%d" % seed for seed in range(3, 6)])
 def test_returned_witness_is_valid(case):
@@ -675,7 +564,7 @@ def doctor_balance(trace):
 def test_each_step_replays_once(monkeypatch):
     # a step depends only on its event and its target's entry; with
     # disjoint swaps each event meets one target entry, so the exhaustive
-    # search replays each event once
+    # search replays each event once (the lock-point order is not run)
     calls = []
     original = verify._replay_one
 
@@ -687,8 +576,7 @@ def test_each_step_replays_once(monkeypatch):
     trace, txns = disjoint_swaps(3)
     doctor_balance(trace)
     mutating, _, _ = witness_rules(trace, txns)
-    verdict = check_strict_serializability(trace, txns,
-                                           budget=len(mutating))
+    verdict = search(trace, txns, budget=len(mutating))
     assert not verdict.passed
     assert sorted(calls) == mutating
 
@@ -711,51 +599,13 @@ def set_then_incr():
 
 
 def test_step_memo_keys_on_the_target_entry():
+    # the lock-point order is trace order here and passes at once, so the
+    # search is run alone to reach its backtrack
     trace, txns = set_then_incr()
-    verdict = check_strict_serializability(trace, txns)
+    verdict = search(trace, txns)
     assert verdict.passed
     assert_valid_witness(trace, txns, verdict.witness)
-
-
-def exhaustive_serializable(trace, txns) -> bool:
-    """Test oracle for traces too long to permute: depth first over every
-    order of the mutating events that keeps the rules of witness_rules,
-    replayed on one world.  A prefix whose placed events, open block and
-    world state were met before is not expanded again, since the rest of
-    the order depends on nothing else.  The final vars are compared only
-    once every event is placed."""
-    mutating, blocks, pairs = witness_rules(trace, txns)
-    block_of = {i: txid for txid, block in blocks.items() for i in block}
-    earlier = {i: set() for i in mutating}
-    for a, b, _ in pairs:
-        earlier[b].add(a)
-    world = verify.build_replay_world(trace)
-    final = trace.final_vars()
-    seen = set()
-
-    def search(placed, open_txid):
-        if len(placed) == len(mutating):
-            return same_final_vars(final_vars_of(world), final)
-        state = world.state()
-        key = (placed, open_txid, state)
-        if key in seen:
-            return False
-        seen.add(key)
-        for i in mutating:
-            txid = block_of.get(i)
-            if i in placed or not earlier[i] <= placed or \
-                    open_txid not in (None, txid):
-                continue
-            if replay_event(world, trace.events[i]):
-                now = placed | {i}
-                still_open = txid if txid is not None and \
-                    not set(blocks[txid]) <= now else None
-                if search(now, still_open):
-                    return True
-            world.restore(state)
-        return False
-
-    return search(frozenset(), None)
+    assert verdict.witness == check_strict_serializability(trace, txns).witness
 
 
 @pytest.mark.parametrize("case,doctored", [
@@ -881,7 +731,9 @@ def test_mismatch_on_a_contract_only_locked_and_unlocked_fails():
 
 # The witnesses the search returned on honest disjoint_swaps(3, seed)
 # before it checked a contract at its last event; pruning cuts only
-# branches with no witness, so the first witness found is the same.
+# branches with no witness, so the first witness found is the same.  The
+# checker returns the lock-point order instead, which differs at seeds 0,
+# 4, 5 and 7.
 DISJOINT3_WITNESS = [
     [1, 24, 44, 60, 95, 109, 5, 27, 47, 63, 85, 112, 9, 19, 35, 55, 75, 99],
     [1, 19, 33, 48, 80, 103, 5, 22, 42, 60, 90, 113, 9, 29, 52, 63, 93, 106],
@@ -901,11 +753,15 @@ def test_three_disjoint_swaps_agree_with_exhaustive_oracle(seed):
     # 18 mutating events are too many to permute, so the oracle is the
     # memoized one, itself checked against brute force above
     trace, txns = disjoint_swaps(3, seed)
-    verdict = check_strict_serializability(trace, txns, budget=18)
+    verdict = search(trace, txns, budget=18)
     assert verdict.passed and exhaustive_serializable(trace, txns)
     assert verdict.witness == DISJOINT3_WITNESS[seed]
     assert_valid_witness(trace, txns, verdict.witness)
+    checked = check_strict_serializability(trace, txns, budget=0)
+    assert checked.passed
+    assert_valid_witness(trace, txns, checked.witness)
     doctor_balance(trace)
+    assert not search(trace, txns, budget=18).passed
     assert not check_strict_serializability(trace, txns, budget=18).passed
     assert not exhaustive_serializable(trace, txns)
 
@@ -1042,6 +898,100 @@ def test_search_agrees_with_brute_force_on_random_scenarios():
                 (seed, doctored)
             if verdict.passed:
                 assert_valid_witness(trace, txns, verdict.witness)
+
+
+def assert_lock_point_order_is_sound(trace, txns):
+    """If the lock-point order passes, the oracle passes with it: the
+    order keeps every rule of witness_rules and replays to the final
+    vars, so brute_force_serializable accepts it as well."""
+    witness = lock_point_order(trace, txns)
+    if witness is not None:
+        assert_valid_witness(trace, txns, witness)
+
+
+@pytest.mark.parametrize("case,doctored", SMALL)
+def test_lock_point_order_never_passes_where_the_oracle_fails(case, doctored):
+    trace, txns = small_case(case)
+    if doctored:
+        doctor_balance(trace)
+    assert_lock_point_order_is_sound(trace, txns)
+
+
+def test_lock_point_order_never_passes_where_the_oracle_fails_on_random():
+    for seed in range(300):
+        trace, txns = random_case(seed)
+        for doctored in (False, True):
+            if doctored:
+                doctor_balance(trace)
+            assert_lock_point_order_is_sound(trace, txns)
+
+
+def test_forged_round_reaches_the_search(monkeypatch):
+    # the forged ack puts layer 1's transfer in the trace before layer
+    # 0's, so the lock-point order breaks layer order; the search finds
+    # a witness that keeps it
+    searched = []
+    original = verify._search
+
+    def spy(*args):
+        searched.append(original(*args))
+        return searched[-1]
+
+    monkeypatch.setattr(verify, "_search", spy)
+    trace, txns = small_case("forged-two@0")
+    assert lock_point_order(trace, txns) is None
+    verdict = check_strict_serializability(trace, txns)
+    assert searched == [verdict] and verdict.passed
+    assert_valid_witness(trace, txns, verdict.witness)
+
+
+def test_search_starts_from_the_initial_state_after_a_failed_order():
+    # zed sets a/reg to 5 after t's increments; the doctored final 6 is
+    # reached only with zed first.  The lock-point order puts t first, so
+    # its replay fails with both counters moved, and the search must
+    # start again from the initial state to find zed's order
+    raw = {
+        "name": "restart",
+        "chains": [{"id": c, "contracts": [
+            {"local": "reg", "kind": "counter", "init": {"count": 0}}]}
+            for c in "ab"],
+        "bridges": [{"src": "a", "dst": "b", "max_delay": 1},
+                    {"src": "b", "dst": "a", "max_delay": 1}],
+        "transactions": [{"txid": "t", "proposer": "a", "tick": 0,
+                          "actions": [
+                              {"chain": c, "target": "reg", "method": "incr",
+                               "params": [n]} for n, c in ((1, "a"),
+                                                           (2, "b"))]}],
+        "adversary": [{"tick": 30, "op": "invoke", "chain": "a",
+                       "caller": "zed", "target": "reg", "method": "set",
+                       "params": [5]}],
+    }
+    scenario = parse_scenario(raw)
+    world = build_world(scenario, seed=0)
+    trace = world.run(scenario.stop)
+    txns = list(world.transactions.values())
+    assert world.machines[0].outcome == "Committed"
+    assert trace.final_vars()[("a", "reg")] == {"count": 5}
+    set_final_vars(trace, "a", "reg", {"count": 6})
+    assert lock_point_order(trace, txns) is None
+    verdict = check_strict_serializability(trace, txns)
+    assert verdict.passed
+    assert_valid_witness(trace, txns, verdict.witness)
+
+
+# The witness the search alone returns on every backtrack case: it tries
+# amy's set (event 15) first, misses the final count and backtracks to
+# zed's (event 7).  The checker returns the lock-point order instead,
+# which keeps trace order and needs no backtrack.
+BACKTRACK_WITNESS = [7, 15, 1, 9, 18, 24, 34, 40]
+
+
+@pytest.mark.parametrize("case", ["backtrack@%d" % seed for seed in range(3)])
+def test_search_backtracks_on_the_backtrack_case(case):
+    trace, txns = run(case)
+    verdict = search(trace, txns, budget=len(trace.events))
+    assert verdict.witness == BACKTRACK_WITNESS
+    assert_valid_witness(trace, txns, verdict.witness)
 
 
 # --------------------------------------------------------------------------
