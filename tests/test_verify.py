@@ -14,7 +14,8 @@ from xchainsim import (Address, BudgetExceededError, Injection,
 from xchainsim import verify
 from xchainsim.bridge import ADVERSARIAL, Ack, BridgeId
 from xchainsim.chain import vars_key
-from xchainsim.trace import INVOKE, LOCK, UNLOCK, ContractSnapshot
+from xchainsim.trace import (INVOKE, LOCK, OUTCOME, UNLOCK,
+                             ContractSnapshot)
 from xchainsim.verify import (ALL_OR_NOTHING, EXACTLY_ONCE, LIVENESS, SAFETY,
                               SERIALIZABILITY)
 
@@ -294,9 +295,9 @@ def test_fixture_final_state_mismatch_fails():
     assert verdict.violations[0].prop == SERIALIZABILITY
 
 
-def test_fixture_real_time_order_violation_fails():
-    # two sequential single-chain transactions; the doctored final state
-    # is only reachable by replaying them against their real-time order
+def sequential_sets():
+    """Two sequential single-chain transactions: first sets a/reg to 1 at
+    tick 0, second sets it to 2 at tick 10."""
     raw = {
         "name": "rt",
         "chains": [{"id": "a", "contracts": [
@@ -317,7 +318,13 @@ def test_fixture_real_time_order_violation_fails():
     scenario = parse_scenario(raw)
     world = build_world(scenario, seed=0)
     trace = world.run(scenario.stop)
-    txns = [world.transactions[t] for t in ("first", "second")]
+    return trace, [world.transactions[t] for t in ("first", "second")]
+
+
+def test_fixture_real_time_order_violation_fails():
+    # the doctored final state is only reachable by replaying the two
+    # transactions against their real-time order
+    trace, txns = sequential_sets()
     assert check_strict_serializability(trace, txns).passed
     # doctor the final state to the value only the forbidden order yields
     doctored = []
@@ -329,6 +336,22 @@ def test_fixture_real_time_order_violation_fails():
     trace.final = doctored
     verdict = check_strict_serializability(trace, txns)
     assert not verdict.passed
+
+
+def test_lock_point_order_keeps_real_time_order():
+    # first's propose moved past second's outcome: real time now puts
+    # second first, though first still locks first in the trace.  Only
+    # the lock-point order reaches the final 2, so no witness exists
+    trace, txns = sequential_sets()
+    propose = next(e for e in trace.events if e.kind == INVOKE
+                   and e.data["method"] == "propose"
+                   and e.data.get("txid") == "first")
+    outcome = [e for e in trace.events if e.kind == OUTCOME]
+    assert [e.data["txid"] for e in outcome] == ["first", "second"]
+    propose.tick = outcome[1].tick + 1
+    assert lock_point_order(trace, txns) is None
+    assert not check_strict_serializability(trace, txns).passed
+    assert not brute_force_serializable(trace, txns)
 
 
 def test_aborted_transactions_serialize_as_empty_blocks():
