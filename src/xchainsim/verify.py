@@ -257,7 +257,7 @@ def check_all_or_nothing(trace: Trace, transactions: list) -> Verdict:
 # Strict serializability
 
 
-@dataclass
+@dataclass(slots=True)
 class _MutEvent:
     index: int            # position in trace.events
     chain: str

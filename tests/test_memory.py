@@ -179,7 +179,7 @@ def test_memory_beside_the_trace_is_flat_per_transaction():
 def test_honest_scale_trace_passes_serializability_in_little_memory():
     # K=8, T=2000 at seed 0: 7,766 mutating events, far above the default
     # budget of 14, so only the lock-point order can pass it.  Measured on
-    # CPython 3.11, the check's traced peak was 2.4-2.7 MB at seeds 0-3,
+    # CPython 3.11, the check's traced peak was 2.1-2.2 MB at seeds 0-3,
     # where the run's world and trace hold about 22 MB and the search
     # alone peaked at 27 MB.  The 5 MB bound fails a check that keeps
     # more than a few small objects per event.

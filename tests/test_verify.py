@@ -231,24 +231,27 @@ def test_budget_exceeded_raises():
     assert not check_strict_serializability(trace, txns, budget=20).passed
 
 
-def search(trace, txns, budget=14):
-    """The exhaustive search alone, on the replay world in its initial
-    state, as check_strict_serializability runs it when the lock-point
-    order fails."""
+def replay_inputs(trace, txns):
+    """The mutating events, the transaction windows, a fresh replay world,
+    its initial state and the final vars keys, as
+    check_strict_serializability hands them to each of its two stages."""
     events, windows = verify._extract_mutating(trace, txns)
     world = verify.build_replay_world(trace)
     final = {key: vars_key(v) for key, v in trace.final_vars().items()}
-    return verify._search(events, windows, txns, world, world.state(), final,
+    return events, windows, world, world.state(), final
+
+
+def search(trace, txns, budget=14):
+    """The exhaustive search alone, as check_strict_serializability runs
+    it when the lock-point order fails."""
+    events, windows, world, initial, final = replay_inputs(trace, txns)
+    return verify._search(events, windows, txns, world, initial, final,
                           budget)
 
 
 def lock_point_order(trace, txns):
     """The lock-point order's witness, or None where it fails."""
-    events, windows = verify._extract_mutating(trace, txns)
-    world = verify.build_replay_world(trace)
-    final = {key: vars_key(v) for key, v in trace.final_vars().items()}
-    return verify._lock_point_order(events, windows, world, world.state(),
-                                    final)
+    return verify._lock_point_order(*replay_inputs(trace, txns))
 
 
 def _deep_trace():
