@@ -18,7 +18,10 @@ is built from the trace and validated in linear time: its rules in
 one pass, then a single replay.  A candidate that validates is a witness.
 Deciding serializability is NP-complete in general (Papadimitriou, JACM
 1979), so a candidate that fails falls back to an exhaustive search,
-which alone decides the verdict then.
+which alone decides the verdict then; the search budget bounds only
+that search.  The candidate is checked against the very rules the search
+enforces, so it passes only where the search would, and no verdict
+depends on it, only which witness is returned.
 
 Replay uses one world rebuilt from the initial snapshot; the search
 starts from that world restored to its initial state.  The search gives
@@ -367,7 +370,8 @@ def check_strict_serializability(trace: Trace, transactions: list,
     contract's observed final variables.
 
     The first order tried is the lock-point order (_lock_point_order),
-    the one strict two-phase locking serializes an honest run by.  It is
+    the order in which strict two-phase locking serializes an honest
+    run.  It is
     checked against all five conditions in one pass and one replay; if
     it keeps them it is a witness and the verdict passes with it.  Else
     the replay world is restored to its initial state and _search
@@ -425,13 +429,13 @@ def _lock_point_order(events: list, windows: dict, world: World,
         layers = [ev.layer for ev in block if ev.layer is not None]
         if layers != sorted(layers):
             return None
-    least = None                    # least outcome tick of the later blocks
+    least = float("inf")            # least outcome tick of the later blocks
     for txid in reversed(placed):
         start, end = windows[txid]
-        if least is not None and start is not None and least < start:
+        if start is not None and least < start:
             return None
-        if end is not None and (least is None or end < least):
-            least = end
+        if end is not None:
+            least = min(least, end)
 
     left: dict = {}                 # target -> its events not yet replayed
     for ev in events:
